@@ -18,9 +18,9 @@ from pathlib import Path
 from .embeddings import Embedding, EmbeddingSet, load_embeddings
 from .errors import NumericalError, ValidationError
 from .grpo import GrpoConfig, save_training_log, train
-from .kernel import UNIT_NORM_TOL
+from .kernel import require_unit
 from .metrics import metric_report
-from .rewards import LAMBDA_ABLATION_GRID, ReferenceSet, composite_reward
+from .rewards import LAMBDA_ABLATION_GRID, ReferenceSet, check_weights, composite_reward
 from .rollout import brute_force_select, greedy_select, rollout_policy
 from .simulation import (
     DEFAULT_K,
@@ -74,12 +74,9 @@ def _resolve_world(section: dict) -> dict:
     return {**DEFAULT_WORLD, **section}
 
 
-def _resolve_grpo(section: dict, seed: int | None = None) -> GrpoConfig:
+def _resolve_grpo(section: dict) -> GrpoConfig:
     _check_keys(section, GRPO_KEYS, "grpo")
-    merged = {**section}
-    if seed is not None:
-        merged["seed"] = seed
-    return GrpoConfig(**merged)
+    return GrpoConfig(**section)
 
 
 def _resolve_arms(arms, grpo_section: dict) -> tuple[list[str], list[GrpoConfig]]:
@@ -106,17 +103,17 @@ def _resolve_arms(arms, grpo_section: dict) -> tuple[list[str], list[GrpoConfig]
 
 
 def _write_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _load_query(embeddings: EmbeddingSet, query_id: str) -> Embedding:
     query = embeddings.get(query_id)
-    if abs(query.norm() - 1.0) > UNIT_NORM_TOL:
-        raise ValidationError(f"query embedding {query_id!r} is not unit-normalized")
+    require_unit(query)
     return query
 
 
 def cmd_score(args) -> int:
+    check_weights(args.lambda_div, args.lambda_rel)
     embeddings = load_embeddings(args.embeddings)
     query = _load_query(embeddings, args.query_id)
     ref_ids = args.ref_id or []
@@ -150,6 +147,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_select(args) -> int:
+    check_weights(args.lambda_div, args.lambda_rel)
     embeddings = load_embeddings(args.embeddings)
     query = _load_query(embeddings, args.query_id)
     if args.k < 1:
@@ -238,7 +236,7 @@ def cmd_simulate(args) -> int:
     _check_keys(config, ("version", "world", "grpo", "arms", "k", "seeds", "rollout_mode"), "config")
     world_params = _resolve_world(config.get("world", {}))
     grpo_section = config.get("grpo", {})
-    _check_keys(grpo_section, GRPO_KEYS, "grpo")
+    _resolve_grpo(grpo_section)  # validates the section even where arms override its lambdas
     names, arms = _resolve_arms(config.get("arms", DEFAULT_SIMULATE_ARMS), grpo_section)
     k = config.get("k", DEFAULT_K)
     seeds = config.get("seeds", DEFAULT_SEEDS)
@@ -265,7 +263,8 @@ def cmd_simulate(args) -> int:
     with open(out / "runs.jsonl", "w", encoding="utf-8") as fh:
         for arm_result in result.arms:
             for run in arm_result.runs:
-                fh.write(json.dumps({"arm": arm_result.name, **run.to_dict()}, sort_keys=True) + "\n")
+                record = {"arm": arm_result.name, **run.to_dict()}
+                fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
     _write_json({"command": "simulate", "config": resolved, **result.to_report()}, out / "report.json")
     if args.csv:
         rows = result.csv_rows()

@@ -27,7 +27,10 @@ class Embedding:
     meta: dict[str, str] | None = None
 
     def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=float)
+        try:
+            vec = np.asarray(self.vector, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"embedding {self.id!r}: vector must be an array of numbers") from exc
         if vec.ndim != 1 or vec.size < 1:
             raise ValidationError(
                 f"embedding {self.id!r}: vector must be one-dimensional with at least one entry"
@@ -67,18 +70,18 @@ class EmbeddingSet:
     items: list[Embedding] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        self._position: dict[str, int] = {}
         dim: int | None = None
-        for item in self.items:
+        for pos, item in enumerate(self.items):
             if dim is None:
                 dim = item.dim
             elif item.dim != dim:
                 raise ValidationError(
                     f"embedding {item.id!r}: dimension {item.dim} does not match set dimension {dim}"
                 )
-            if item.id in seen:
+            if item.id in self._position:
                 raise ValidationError(f"duplicate embedding id {item.id!r}")
-            seen.add(item.id)
+            self._position[item.id] = pos
         self._matrix: np.ndarray | None = None
 
     @property
@@ -99,10 +102,9 @@ class EmbeddingSet:
         return [item.id for item in self.items]
 
     def get(self, id_: str) -> Embedding:
-        for item in self.items:
-            if item.id == id_:
-                return item
-        raise ValidationError(f"unknown embedding id {id_!r}")
+        if id_ not in self._position:
+            raise ValidationError(f"unknown embedding id {id_!r}")
+        return self.items[self._position[id_]]
 
     def matrix(self) -> np.ndarray:
         """Stack vectors into an (n, d) array; empty set gives shape (0, 0).
@@ -120,10 +122,10 @@ class EmbeddingSet:
 def load_embeddings(path: str | Path) -> EmbeddingSet:
     """Read a JSON Lines embedding file.
 
-    One object per line with keys "id" and "vector" and an optional string
-    map "meta". Order is preserved; the dimension is inferred from the
-    first record. Dimension mismatches, non-finite entries and duplicate
-    ids are rejected with the offending id named.
+    One object per line with a string "id", a flat "vector" of finite
+    numbers and an optional string map "meta". Order is preserved; the
+    dimension is inferred from the first record. Malformed records, mixed
+    dimensions and duplicate ids are rejected naming the line or id.
     """
     items: list[Embedding] = []
     with open(path, encoding="utf-8") as fh:
@@ -142,7 +144,9 @@ def load_embeddings(path: str | Path) -> EmbeddingSet:
                 or any(not isinstance(k, str) or not isinstance(v, str) for k, v in meta.items())
             ):
                 raise ValidationError(f"{path}: line {lineno}: 'meta' must map strings to strings")
-            items.append(Embedding(str(record["id"]), record["vector"], meta))
+            if not isinstance(record["id"], str):
+                raise ValidationError(f"{path}: line {lineno}: 'id' must be a string")
+            items.append(Embedding(record["id"], record["vector"], meta))
     return EmbeddingSet(items)
 
 

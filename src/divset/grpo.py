@@ -17,15 +17,16 @@ is deterministic given the config seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .embeddings import Embedding, EmbeddingSet
 from .errors import NumericalError, ValidationError
-from .kernel import UNIT_NORM_TOL
-from .rewards import ReferenceSet, composite_reward
+from .kernel import require_unit_rows
+from .rewards import ReferenceSet, check_weights, composite_reward
 
 N_FEATURES = 3
 
@@ -53,12 +54,7 @@ class ToyPolicy:
     def __post_init__(self) -> None:
         if len(self.vocabulary) == 0:
             raise ValidationError("policy vocabulary must be non-empty")
-        norms = np.linalg.norm(self.vocabulary.matrix(), axis=1)
-        bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
-        if bad.size:
-            raise ValidationError(
-                f"vocabulary item {self.vocabulary[int(bad[0])].id!r} is not unit-normalized"
-            )
+        require_unit_rows(self.vocabulary)
         if self.theta is None:
             self.theta = np.zeros(N_FEATURES)
         if self.bias is None:
@@ -288,16 +284,13 @@ class GrpoConfig:
             raise ValidationError(
                 f"clip_epsilon must lie in the open interval (0, 1), got {self.clip_epsilon}"
             )
-        if self.kl_beta < 0:
-            raise ValidationError(f"kl_beta must be >= 0, got {self.kl_beta}")
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 <= self.kl_beta < math.inf:
+            raise ValidationError(f"kl_beta must be finite and >= 0, got {self.kl_beta}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if int(self.iterations) != self.iterations or self.iterations < 0:
             raise ValidationError(f"iterations must be a non-negative integer, got {self.iterations}")
-        if self.lambda_div < 0 or self.lambda_rel < 0:
-            raise ValidationError("lambda_div and lambda_rel must be non-negative")
-        if self.lambda_div == 0 and self.lambda_rel == 0:
-            raise ValidationError("lambda_div and lambda_rel must not both be zero")
+        check_weights(self.lambda_div, self.lambda_rel)
         if int(self.seed) != self.seed:
             raise ValidationError(f"seed must be an integer, got {self.seed}")
         self.group_size = int(self.group_size)
@@ -305,16 +298,7 @@ class GrpoConfig:
         self.seed = int(self.seed)
 
     def to_dict(self) -> dict:
-        return {
-            "group_size": self.group_size,
-            "clip_epsilon": self.clip_epsilon,
-            "kl_beta": self.kl_beta,
-            "learning_rate": self.learning_rate,
-            "iterations": self.iterations,
-            "lambda_div": self.lambda_div,
-            "lambda_rel": self.lambda_rel,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -427,4 +411,4 @@ def save_training_log(records: list[dict], path: str | Path) -> None:
     """Write per-iteration records as JSON Lines."""
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSet
+from .embeddings import Embedding, EmbeddingSet
 from .errors import NumericalError, ValidationError
 
 UNIT_NORM_TOL = 1e-9
@@ -22,9 +22,22 @@ SYMMETRY_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
 
 
+def require_unit(e: Embedding) -> None:
+    """Reject an embedding whose norm deviates from 1 by more than UNIT_NORM_TOL."""
+    if abs(e.norm() - 1.0) > UNIT_NORM_TOL:
+        raise ValidationError(f"embedding {e.id!r} is not unit-normalized (norm {e.norm()!r})")
+
+
+def require_unit_rows(set_: EmbeddingSet) -> None:
+    """require_unit over a set, vectorised; flagged rows go to require_unit."""
+    norms = np.linalg.norm(set_.matrix(), axis=1)
+    for i in np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        require_unit(set_[int(i)])
+
+
 @dataclass(eq=False)
 class KernelMatrix:
-    """Symmetric PSD similarity matrix with unit diagonal."""
+    """Symmetric PSD similarity matrix with unit diagonal, checked when a caller builds one."""
 
     entries: np.ndarray
 
@@ -44,6 +57,13 @@ class KernelMatrix:
             except np.linalg.LinAlgError as exc:
                 raise ValidationError("kernel matrix is not positive semi-definite") from exc
         self.entries = m
+
+    @classmethod
+    def _trusted(cls, entries: np.ndarray) -> "KernelMatrix":
+        # skips __post_init__: unit Grams and their principal submatrices are valid by construction
+        kernel = object.__new__(cls)
+        kernel.entries = entries
+        return kernel
 
     @property
     def n(self) -> int:
@@ -71,16 +91,8 @@ def build_kernel(set_: EmbeddingSet) -> KernelMatrix:
     Rejects any embedding whose norm deviates from 1 by more than
     UNIT_NORM_TOL; an empty set yields the empty matrix.
     """
-    V = set_.matrix()
-    if len(set_):
-        norms = np.linalg.norm(V, axis=1)
-        bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
-        if bad.size:
-            item = set_[int(bad[0])]
-            raise ValidationError(
-                f"embedding {item.id!r} is not unit-normalized (norm {norms[bad[0]]!r})"
-            )
-    return KernelMatrix(unit_gram(V))
+    require_unit_rows(set_)
+    return KernelMatrix._trusted(unit_gram(set_.matrix()))
 
 
 def logdet_regularized_gram(gram: np.ndarray) -> float:
@@ -117,7 +129,5 @@ def principal_submatrix(kernel: KernelMatrix, indices: list[int]) -> KernelMatri
         if idx in seen:
             raise ValidationError(f"duplicate index {idx}")
         seen.add(idx)
-    if not indices:
-        return KernelMatrix(np.zeros((0, 0)))
     sel = np.asarray(indices, dtype=int)
-    return KernelMatrix(kernel.entries[np.ix_(sel, sel)])
+    return KernelMatrix._trusted(kernel.entries[np.ix_(sel, sel)])

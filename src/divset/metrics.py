@@ -18,7 +18,7 @@ import numpy as np
 
 from .embeddings import Embedding, EmbeddingSet
 from .errors import NumericalError, ValidationError
-from .kernel import UNIT_NORM_TOL, build_kernel
+from .kernel import build_kernel, require_unit, require_unit_rows
 
 # Eigenvalues at or below this are numerical noise of rank-deficient Grams.
 EIGENVALUE_TOL = 1e-12
@@ -83,11 +83,10 @@ def mean_alignment(set_: EmbeddingSet, query: Embedding) -> float:
     """Arithmetic mean of cos(item, query) over the set."""
     if len(set_) < 1:
         raise ValidationError("mean alignment requires a non-empty set")
-    if abs(query.norm() - 1.0) > UNIT_NORM_TOL:
-        raise ValidationError(f"query {query.id!r} is not unit-normalized")
+    require_unit(query)
     if set_.dim != query.dim:
         raise ValidationError(f"set dimension {set_.dim} does not match query dimension {query.dim}")
-    build_kernel(set_)  # unit-norm validation
+    require_unit_rows(set_)
     return float(np.mean(set_.matrix() @ query.vector))
 
 

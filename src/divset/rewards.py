@@ -12,13 +12,14 @@ relevance is a legitimate penalty and is never clamped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import Embedding, EmbeddingSet
 from .errors import ValidationError
-from .kernel import UNIT_NORM_TOL, build_kernel, log_det_regularized, logdet_regularized_gram, unit_gram
+from .kernel import build_kernel, log_det_regularized, logdet_regularized_gram, require_unit, unit_gram
 
 DEFAULT_LAMBDA_DIV = 0.5
 DEFAULT_LAMBDA_REL = 0.5
@@ -27,9 +28,13 @@ DEFAULT_LAMBDA_REL = 0.5
 LAMBDA_ABLATION_GRID = ((0.9, 0.1), (0.5, 0.5), (0.1, 0.9))
 
 
-def _require_unit(e: Embedding) -> None:
-    if abs(e.norm() - 1.0) > UNIT_NORM_TOL:
-        raise ValidationError(f"embedding {e.id!r} is not unit-normalized (norm {e.norm()!r})")
+def check_weights(lambda_div: float, lambda_rel: float) -> None:
+    """Reject reward weights that are negative, NaN, infinite or both zero."""
+    # chained comparisons are False for NaN
+    if not (0.0 <= lambda_div < math.inf and 0.0 <= lambda_rel < math.inf):
+        raise ValidationError("reward weights lambda_div and lambda_rel must be finite and non-negative")
+    if lambda_div == 0 and lambda_rel == 0:
+        raise ValidationError("reward weights lambda_div and lambda_rel must not both be zero")
 
 
 @dataclass
@@ -40,9 +45,9 @@ class ReferenceSet:
     query: Embedding
 
     def __post_init__(self) -> None:
-        _require_unit(self.query)
+        require_unit(self.query)
         for m in self.members:
-            _require_unit(m)
+            require_unit(m)
         if self.members.dim is not None and self.members.dim != self.query.dim:
             raise ValidationError(
                 f"reference members have dimension {self.members.dim}, query has {self.query.dim}"
@@ -70,8 +75,7 @@ class RewardBreakdown:
     lambda_rel: float
 
     def __post_init__(self) -> None:
-        if self.lambda_div < 0 or self.lambda_rel < 0:
-            raise ValidationError("reward weights must be non-negative")
+        check_weights(self.lambda_div, self.lambda_rel)
         expected = self.lambda_div * self.diversity_gain + self.lambda_rel * self.relevance
         if abs(self.composite - expected) > 1e-12:
             raise ValidationError(
@@ -102,7 +106,7 @@ def marginal_gain(candidate: Embedding, ref: ReferenceSet) -> float:
     Always strictly positive, and non-increasing as the reference set grows
     (submodularity of the regularized log-det).
     """
-    _require_unit(candidate)
+    require_unit(candidate)
     if ref.members.dim is not None and candidate.dim != ref.members.dim:
         raise ValidationError(
             f"candidate {candidate.id!r} has dimension {candidate.dim}, "
@@ -127,7 +131,7 @@ def relevance(candidate: Embedding, ref: ReferenceSet) -> float:
     """
     if len(ref) == 0:
         raise ValidationError("relevance requires a non-empty reference set")
-    _require_unit(candidate)
+    require_unit(candidate)
     query_cos = float(candidate.vector @ ref.query.vector)
     member_cos = ref.members.matrix() @ candidate.vector
     return query_cos * float(np.mean(member_cos))
@@ -145,10 +149,7 @@ def composite_reward(
     candidate-query cosine, the limit consistent with requiring alignment
     to the query when no variants exist yet.
     """
-    if lambda_div < 0 or lambda_rel < 0:
-        raise ValidationError("reward weights lambda_div and lambda_rel must be non-negative")
-    if lambda_div == 0 and lambda_rel == 0:
-        raise ValidationError("reward weights must not both be zero")
+    check_weights(lambda_div, lambda_rel)
     gain = marginal_gain(candidate, ref)
     if len(ref):
         rel = relevance(candidate, ref)

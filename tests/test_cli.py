@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from divset import Embedding, EmbeddingSet, save_embeddings
+from divset import Embedding, EmbeddingSet, cli, save_embeddings
 from divset.cli import main
 
 LN2 = math.log(2)
@@ -82,6 +82,30 @@ class TestScore:
         code = main(["score", "--embeddings", str(oracle_file), "--query-id", "missing"])
         assert code == 2
         assert "missing" in capsys.readouterr().err
+
+    def test_malformed_vector_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "query", "vector": [1.0, 0.0]}\n{"id": "b", "vector": "ab"}\n')
+        assert main(["score", "--embeddings", str(path), "--query-id", "query"]) == 2
+        assert "'b'" in capsys.readouterr().err
+
+
+WEIGHTED_COMMANDS = {
+    "score": ["score"],
+    "select-greedy": ["select", "--k", "2", "--mode", "greedy"],
+    "select-bruteforce": ["select", "--k", "2", "--mode", "bruteforce"],
+}
+
+
+@pytest.mark.parametrize("command", WEIGHTED_COMMANDS)
+@pytest.mark.parametrize("flag", ["--lambda-div", "--lambda-rel"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_weight_exits_2(oracle_file, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "report.json"
+    argv = [*WEIGHTED_COMMANDS[command], "--embeddings", str(oracle_file), "--query-id", "query"]
+    assert main([*argv, flag, value, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestSelect:
@@ -249,6 +273,36 @@ class TestSimulate:
         config.write_text(json.dumps({**SMALL_CONFIG, "grpo": {"clip_epsilon": 1.5}}))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert "(0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["learning_rate", "kl_beta", "lambda_div"])
+    def test_nan_grpo_value_rejected(self, tmp_path, capsys, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "grpo": {key: math.nan}}))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runs_log_refuses_nan(self, tmp_path, monkeypatch):
+        real = cli.run_experiment
+
+        def with_nan(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.arms[0].runs[0].vendi = math.nan
+            return result
+
+        monkeypatch.setattr(cli, "run_experiment", with_nan)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            main(["simulate", "--config", str(config), "--out", str(out)])
+        assert "NaN" not in (out / "runs.jsonl").read_text()
+        assert not (out / "report.json").exists()
+
+    def test_report_refuses_nan(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli._write_json({"vendi": math.nan}, tmp_path / "report.json")
 
     def test_missing_version_rejected(self, tmp_path):
         config = tmp_path / "config.json"

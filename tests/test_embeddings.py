@@ -72,6 +72,10 @@ class TestEmbeddingSet:
         with pytest.raises(ValidationError, match="'nope'"):
             s.get("nope")
 
+    def test_get_finds_every_id(self):
+        s = EmbeddingSet([Embedding(f"e{i}", [float(i), 1.0]) for i in range(50)])
+        assert all(s.get(f"e{i}") is s[i] for i in range(50))
+
     def test_matrix_order(self):
         s = EmbeddingSet([Embedding("a", [1, 0]), Embedding("b", [0, 1])])
         np.testing.assert_array_equal(s.matrix(), [[1, 0], [0, 1]])
@@ -150,3 +154,20 @@ class TestJsonLines:
         record = json.loads(path.read_text().splitlines()[0])
         assert record["id"] == "a"
         assert "meta" not in record
+
+    def test_non_string_id_rejected(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a", "vector": [1]}\n{"id": 7, "vector": [2]}\n')
+        with pytest.raises(ValidationError, match="line 2: 'id' must be a string"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "vector",
+        ['"ab"', '[1, "a"]', '{"x": 1}', "[[1, 2], [3]]", "[1" + "0" * 400 + "]"],
+        ids=["string", "string-entry", "object", "ragged", "int-overflow"],
+    )
+    def test_non_numeric_vector_rejected(self, tmp_path, vector):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a", "vector": [1]}\n{"id": "b", "vector": %s}\n' % vector)
+        with pytest.raises(ValidationError, match="'b': vector must be an array of numbers"):
+            load_embeddings(path)

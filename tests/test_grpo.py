@@ -21,7 +21,7 @@ from divset import (
     surrogate_objective,
     train,
 )
-from divset.grpo import context_features, exact_kl, policy_entropy
+from divset.grpo import context_features, exact_kl, policy_entropy, save_training_log
 
 
 def rand_unit(rng, d):
@@ -356,6 +356,16 @@ class TestGrpoConfig:
     def test_negative_kl_beta(self):
         with pytest.raises(ValidationError, match="kl_beta"):
             GrpoConfig(kl_beta=-0.1)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "kl_beta", "lambda_div", "lambda_rel"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="finite"):
+            GrpoConfig(**{field: value})
+
+    def test_training_log_refuses_nan(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_training_log([{"iteration": 0, "objective": math.nan}], tmp_path / "log.jsonl")
 
     def test_defaults_valid(self):
         config = GrpoConfig()

@@ -10,11 +10,20 @@ from divset import (
     Embedding,
     EmbeddingSet,
     KernelMatrix,
+    ReferenceSet,
+    ToyPolicy,
     ValidationError,
     build_kernel,
+    diversity_score,
     log_det_regularized,
+    marginal_gain,
+    mean_alignment,
+    metric_report,
     principal_submatrix,
+    relevance,
+    save_embeddings,
 )
+from divset.cli import main
 
 
 def det_by_cofactor(m: np.ndarray) -> float:
@@ -153,3 +162,69 @@ class TestPrincipalSubmatrix:
         k = build_kernel(unit_set(rng, 3, 4))
         with pytest.raises(ValidationError, match="out of range"):
             principal_submatrix(k, [0, 3])
+
+
+class TestValidationCost:
+    """Kernels built from checked rows are not re-validated."""
+
+    @pytest.fixture
+    def cholesky_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        return calls
+
+    def test_diversity_score_factors_once(self, cholesky_calls):
+        diversity_score(unit_set(np.random.default_rng(0), 5, 4))
+        assert len(cholesky_calls) == 1
+
+    def test_build_kernel_does_not_factor(self, cholesky_calls):
+        k = build_kernel(unit_set(np.random.default_rng(1), 5, 4))
+        principal_submatrix(k, [0, 2, 4])
+        assert cholesky_calls == []
+
+    def test_metric_report_does_not_factor(self, cholesky_calls):
+        rng = np.random.default_rng(2)
+        metric_report(unit_set(rng, 6, 4), Embedding("q", random_unit_rows(rng, 1, 4)[0]))
+        assert cholesky_calls == []
+
+    def test_caller_built_kernel_still_factors(self, cholesky_calls):
+        KernelMatrix(np.eye(3))
+        assert len(cholesky_calls) == 1
+
+
+GOOD = Embedding("good", [1.0, 0.0])
+ORTHO = Embedding("ortho", [0.0, 1.0])
+BAD = Embedding("bad", [2.0, 0.0])
+
+UNIT_NORM_CASES = {
+    "build_kernel": lambda: build_kernel(EmbeddingSet([GOOD, BAD])),
+    "refset_member": lambda: ReferenceSet(EmbeddingSet([GOOD, BAD]), ORTHO),
+    "refset_query": lambda: ReferenceSet(EmbeddingSet([GOOD]), BAD),
+    "marginal_gain": lambda: marginal_gain(BAD, ReferenceSet(EmbeddingSet([ORTHO]), GOOD)),
+    "relevance": lambda: relevance(BAD, ReferenceSet(EmbeddingSet([ORTHO]), GOOD)),
+    "toy_policy": lambda: ToyPolicy(EmbeddingSet([GOOD, BAD])),
+    "mean_alignment_item": lambda: mean_alignment(EmbeddingSet([GOOD, BAD]), ORTHO),
+    "mean_alignment_query": lambda: mean_alignment(EmbeddingSet([GOOD]), BAD),
+}
+
+
+@pytest.mark.parametrize("case", [*UNIT_NORM_CASES, "cli_query_id"])
+def test_unit_norm_rejection_names_offender(case, tmp_path, capsys):
+    if case == "cli_query_id":
+        path = tmp_path / "emb.jsonl"
+        save_embeddings(EmbeddingSet([BAD, GOOD, ORTHO]), path)
+        argv = ["select", "--embeddings", str(path), "--query-id", "bad", "--k", "1", "--mode", "bruteforce"]
+        assert main(argv) == 2
+        message = capsys.readouterr().err
+    else:
+        with pytest.raises(ValidationError) as exc:
+            UNIT_NORM_CASES[case]()
+        message = str(exc.value)
+    assert "'bad'" in message
+    assert "unit-normalized" in message

@@ -188,6 +188,14 @@ class TestCompositeReward:
         with pytest.raises(ValidationError, match="non-negative"):
             composite_reward(Embedding("p", [0.0, 1.0]), ref, -0.5, 0.5)
 
+    @pytest.mark.parametrize(
+        "weights", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, math.inf)], ids=str
+    )
+    def test_non_finite_weights_rejected(self, weights):
+        q = Embedding("q", [1.0, 0.0])
+        with pytest.raises(ValidationError, match="finite"):
+            composite_reward(Embedding("p", [0.0, 1.0]), ReferenceSet.empty(q), *weights)
+
     def test_both_zero_weights_rejected(self):
         q = Embedding("q", [1.0, 0.0])
         with pytest.raises(ValidationError, match="both"):
