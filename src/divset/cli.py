@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .embeddings import Embedding, EmbeddingSet, load_embeddings
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_number
 from .grpo import GrpoConfig, save_training_log, train
 from .kernel import require_unit
 from .metrics import metric_report
@@ -81,10 +81,7 @@ def _resolve_grpo(section: dict) -> GrpoConfig:
 
 def _resolve_arms(arms, grpo_section: dict) -> tuple[list[str], list[GrpoConfig]]:
     if arms == "lambda-ablation":
-        arms = [
-            {"name": f"div{ld:g}-rel{lr:g}", "lambda_div": ld, "lambda_rel": lr}
-            for ld, lr in LAMBDA_ABLATION_GRID
-        ]
+        arms = [{"lambda_div": ld, "lambda_rel": lr} for ld, lr in LAMBDA_ABLATION_GRID]
     if not isinstance(arms, list):
         raise ValidationError('config "arms" must be a list or the preset "lambda-ablation"')
     names, configs = [], []
@@ -182,7 +179,7 @@ def cmd_train(args) -> int:
     _check_keys(config, ("version", "world", "grpo", "k", "rollout_mode"), "config")
     world_params = _resolve_world(config.get("world", {}))
     grpo = _resolve_grpo(config.get("grpo", {}))
-    k = config.get("k", DEFAULT_K)
+    k = check_number("k", config.get("k", DEFAULT_K), integer=True)
     rollout_mode = config.get("rollout_mode", DEFAULT_ROLLOUT_MODE)
 
     world = make_world(**world_params)
@@ -238,8 +235,10 @@ def cmd_simulate(args) -> int:
     grpo_section = config.get("grpo", {})
     _resolve_grpo(grpo_section)  # validates the section even where arms override its lambdas
     names, arms = _resolve_arms(config.get("arms", DEFAULT_SIMULATE_ARMS), grpo_section)
-    k = config.get("k", DEFAULT_K)
+    k = check_number("k", config.get("k", DEFAULT_K), integer=True)
     seeds = config.get("seeds", DEFAULT_SEEDS)
+    if not isinstance(seeds, list):
+        raise ValidationError(f'config "seeds" must be a list of integers, got {seeds!r}')
     rollout_mode = config.get("rollout_mode", DEFAULT_ROLLOUT_MODE)
 
     world = make_world(**world_params)

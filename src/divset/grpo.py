@@ -7,8 +7,8 @@ clipped-surrogate objective, including the exact discrete KL penalty and
 the full parameter gradient, is computable in closed form and checkable
 against finite differences.
 
-Training follows the group-relative scheme: sync the old policy, sample a
-group of candidates, score each with the composite diversity-plus-relevance
+Training follows the group-relative scheme: sample a group of candidates
+from the current policy, score each with the composite diversity-plus-relevance
 reward against the current reference context, normalize rewards into
 advantages within the group, and ascend the surrogate gradient. Everything
 is deterministic given the config seed.
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import Embedding, EmbeddingSet
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_number
 from .kernel import require_unit_rows
 from .rewards import ReferenceSet, check_weights, composite_reward
 
@@ -91,12 +91,16 @@ def context_features(policy: ToyPolicy, query: Embedding, ref: ReferenceSet) -> 
     return f
 
 
-def policy_probs(policy: ToyPolicy, query: Embedding, ref: ReferenceSet) -> np.ndarray:
-    """Softmax action distribution over the vocabulary in the given context."""
-    logits = context_features(policy, query, ref) @ policy.theta + policy.bias
+def _softmax(features: np.ndarray, policy: ToyPolicy) -> np.ndarray:
+    logits = features @ policy.theta + policy.bias
     shifted = logits - np.max(logits)
     weights = np.exp(shifted)
     return weights / weights.sum()
+
+
+def policy_probs(policy: ToyPolicy, query: Embedding, ref: ReferenceSet) -> np.ndarray:
+    """Softmax action distribution over the vocabulary in the given context."""
+    return _softmax(context_features(policy, query, ref), policy)
 
 
 @dataclass(eq=False)
@@ -175,18 +179,10 @@ def policy_entropy(p: np.ndarray) -> float:
     return float(-(p[support] * np.log(p[support])).sum())
 
 
-def _clipped_terms(
-    policy: ToyPolicy,
-    old: ToyPolicy,
-    group: CandidateGroup,
-    query: Embedding,
-    ref: ReferenceSet,
-    clip_epsilon: float,
-):
+def _clipped_surrogate(features, p_new, p_old, p_ref, group, clip_epsilon, kl_beta):
+    """(objective, KL(p_new || p_ref), theta grad, bias grad) from one context's arrays."""
     if group.advantages is None:
         raise ValidationError("group advantages must be computed before the surrogate")
-    p_new = policy_probs(policy, query, ref)
-    p_old = policy_probs(old, query, ref)
     sampled_old = p_old[group.indices]
     if np.any(sampled_old == 0.0):
         raise NumericalError("old policy assigns zero probability to a sampled action")
@@ -194,7 +190,28 @@ def _clipped_terms(
     adv = group.advantages
     unclipped = ratios * adv
     clipped = np.clip(ratios, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * adv
-    return p_new, ratios, unclipped, clipped
+    # s is the per-item log-ratio log p_new - log p_ref; KL = sum p_new * s
+    support = p_new > 0
+    s = np.zeros_like(p_new)
+    with np.errstate(divide="ignore"):
+        s[support] = np.log(p_new[support]) - np.log(p_ref[support])
+    kl = float((p_new[support] * s[support]).sum())
+    objective = float(np.minimum(unclipped, clipped).mean()) - kl_beta * kl
+
+    active = unclipped <= clipped
+    coef = np.where(active, adv * ratios, 0.0) / group.group_size
+    g_logits = np.zeros_like(p_new)
+    np.add.at(g_logits, group.indices, coef)
+    g_logits -= coef.sum() * p_new
+    if kl_beta != 0.0:
+        g_logits -= kl_beta * p_new * (s - kl)
+    return objective, kl, features.T @ g_logits, g_logits
+
+
+def _surrogate(policy, old, ref_policy, group, query, ref, clip_epsilon, kl_beta):
+    features = context_features(policy, query, ref)  # one for all three: they share the vocabulary
+    p_new, p_old, p_ref = (_softmax(features, p) for p in (policy, old, ref_policy))
+    return _clipped_surrogate(features, p_new, p_old, p_ref, group, clip_epsilon, kl_beta)
 
 
 def surrogate_objective(
@@ -215,9 +232,7 @@ def surrogate_objective(
     with rho_i the new/old probability ratio of the sampled action and the
     KL taken exactly over the vocabulary in the current context.
     """
-    p_new, _, unclipped, clipped = _clipped_terms(policy, old, group, query, ref, clip_epsilon)
-    p_ref = policy_probs(ref_policy, query, ref)
-    return float(np.minimum(unclipped, clipped).mean()) - kl_beta * exact_kl(p_new, p_ref)
+    return _surrogate(policy, old, ref_policy, group, query, ref, clip_epsilon, kl_beta)[0]
 
 
 def surrogate_gradient(
@@ -242,31 +257,17 @@ def surrogate_gradient(
     and theta/bias gradients follow by the chain rule through the affine
     logit map.
     """
-    p_new, ratios, unclipped, clipped = _clipped_terms(policy, old, group, query, ref, clip_epsilon)
-    p_ref = policy_probs(ref_policy, query, ref)
-    features = context_features(policy, query, ref)
-    G = group.group_size
-
-    active = unclipped <= clipped
-    coef = np.where(active, group.advantages * ratios, 0.0) / G
-    g_logits = np.zeros_like(p_new)
-    np.add.at(g_logits, group.indices, coef)
-    g_logits -= coef.sum() * p_new
-
-    if kl_beta != 0.0:
-        support = p_new > 0
-        s = np.zeros_like(p_new)
-        with np.errstate(divide="ignore"):
-            s[support] = np.log(p_new[support]) - np.log(p_ref[support])
-        kl = float((p_new[support] * s[support]).sum())
-        g_logits -= kl_beta * p_new * (s - kl)
-
-    return features.T @ g_logits, g_logits
+    return _surrogate(policy, old, ref_policy, group, query, ref, clip_epsilon, kl_beta)[2:]
 
 
 @dataclass
 class GrpoConfig:
-    """Hyperparameters of one training run; every field is validated."""
+    """Hyperparameters of one training run; every field is validated.
+
+    train() takes one update per group, so every ratio is exactly 1 and
+    clip_epsilon cannot change its output; it matters only to the surrogate
+    functions called with a distinct old policy.
+    """
 
     group_size: int = 8
     clip_epsilon: float = 0.2
@@ -278,7 +279,10 @@ class GrpoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.group_size) != self.group_size or self.group_size < 2:
+        for name, value in vars(self).items():
+            integer = name in ("group_size", "iterations", "seed")
+            setattr(self, name, check_number(name, value, integer))
+        if self.group_size < 2:
             raise ValidationError(f"group_size must be an integer >= 2, got {self.group_size}")
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ValidationError(
@@ -288,14 +292,9 @@ class GrpoConfig:
             raise ValidationError(f"kl_beta must be finite and >= 0, got {self.kl_beta}")
         if not 0 < self.learning_rate < math.inf:
             raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if int(self.iterations) != self.iterations or self.iterations < 0:
+        if self.iterations < 0:
             raise ValidationError(f"iterations must be a non-negative integer, got {self.iterations}")
         check_weights(self.lambda_div, self.lambda_rel)
-        if int(self.seed) != self.seed:
-            raise ValidationError(f"seed must be an integer, got {self.seed}")
-        self.group_size = int(self.group_size)
-        self.iterations = int(self.iterations)
-        self.seed = int(self.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -350,10 +349,12 @@ def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
 
     ``task`` is a TrainingTask or anything exposing ``training_task()``
     (e.g. a simulation world). The policy starts uniform (all parameters
-    zero); the KL penalty is taken against that initial policy. Each
-    iteration syncs the old policy, samples a group, scores it with the
-    composite reward against the iteration's reference context, normalizes
-    advantages, and takes one gradient-ascent step on the surrogate.
+    zero); the KL penalty is taken against that uniform policy. Each
+    iteration samples a group, scores it with the composite reward against
+    the iteration's reference context, normalizes advantages, and takes one
+    gradient-ascent step on the surrogate. With one update per group the
+    sampling policy is the current one, so every ratio is exactly 1 and
+    clip_epsilon does not change the result.
 
     Log records carry iteration, objective, mean_reward, kl and
     policy_entropy. The whole run is deterministic given config.seed.
@@ -361,15 +362,14 @@ def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
     if hasattr(task, "training_task"):
         task = task.training_task()
     policy = ToyPolicy(task.vocabulary)
-    ref_policy = policy.copy()
+    p_ref = np.full(len(task.vocabulary), 1.0 / len(task.vocabulary))  # the all-zero reference policy
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     records: list[dict] = []
 
     for iteration in range(config.iterations):
         ref = _iteration_context(task, rng)
         group_seed = int(rng.integers(0, 2**63))
-        old = policy.copy()
-        group = sample_group(old, task.query, ref, config.group_size, group_seed)
+        group = sample_group(policy, task.query, ref, config.group_size, group_seed)
 
         reward_cache: dict[int, float] = {}
         for idx, item in zip(group.indices, group.items):
@@ -380,14 +380,11 @@ def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
         group.rewards = np.array([reward_cache[int(i)] for i in group.indices])
         group.advantages = compute_advantages(group.rewards)
 
-        p_new, _, unclipped, clipped = _clipped_terms(
-            policy, old, group, task.query, ref, config.clip_epsilon
-        )
-        kl = exact_kl(p_new, policy_probs(ref_policy, task.query, ref))
-        objective = float(np.minimum(unclipped, clipped).mean()) - config.kl_beta * kl
-
-        theta_grad, bias_grad = surrogate_gradient(
-            policy, old, ref_policy, group, task.query, ref, config.clip_epsilon, config.kl_beta
+        # one update per group: the old policy is the current one, so p_old = p_new
+        features = context_features(policy, task.query, ref)
+        probs = _softmax(features, policy)
+        objective, kl, theta_grad, bias_grad = _clipped_surrogate(
+            features, probs, probs, p_ref, group, config.clip_epsilon, config.kl_beta
         )
         if not (np.all(np.isfinite(theta_grad)) and np.all(np.isfinite(bias_grad))):
             raise NumericalError(f"non-finite gradient at iteration {iteration}")
@@ -400,7 +397,7 @@ def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
                 "objective": objective,
                 "mean_reward": float(group.rewards.mean()),
                 "kl": kl,
-                "policy_entropy": policy_entropy(p_new),
+                "policy_entropy": policy_entropy(probs),
             }
         )
 

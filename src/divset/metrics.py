@@ -12,7 +12,7 @@ scores computed from frame-level encoder features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,16 +40,13 @@ class MetricReport:
             raise ValidationError(f"mean alignment {self.mean_alignment!r} outside [-1, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "vendi": self.vendi,
-            "truncated_entropy": self.truncated_entropy,
-            "mean_alignment": self.mean_alignment,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
-def _spectrum(set_: EmbeddingSet) -> np.ndarray:
-    """Eigenvalues of the cosine Gram matrix, ascending."""
+def _spectrum(set_: EmbeddingSet, metric: str) -> np.ndarray:
+    """Eigenvalues of the cosine Gram matrix, ascending; ``metric`` names the caller."""
+    if len(set_) < 1:
+        raise ValidationError(f"{metric} requires a non-empty set")
     kernel = build_kernel(set_)
     try:
         return np.linalg.eigvalsh(kernel.entries)
@@ -57,26 +54,30 @@ def _spectrum(set_: EmbeddingSet) -> np.ndarray:
         raise NumericalError("eigendecomposition of the similarity matrix failed") from exc
 
 
-def vendi_score(set_: EmbeddingSet) -> float:
-    """exp of the entropy of the normalized similarity spectrum, in [1, n]."""
-    if len(set_) < 1:
-        raise ValidationError("vendi score requires a non-empty set")
-    weights = _spectrum(set_) / len(set_)
+def _vendi(spectrum: np.ndarray) -> float:
+    weights = spectrum / spectrum.size
     weights = weights[weights > EIGENVALUE_TOL]
     return float(np.exp(-(weights * np.log(weights)).sum()))
 
 
-def truncated_spectral_entropy(set_: EmbeddingSet, top_m: int) -> float:
-    """Entropy (nats) of the top-m Gram eigenvalues, renormalized to sum 1."""
-    n = len(set_)
-    if n < 1:
-        raise ValidationError("truncated spectral entropy requires a non-empty set")
+def _truncated_entropy(spectrum: np.ndarray, top_m: int) -> float:
+    n = spectrum.size
     if not 1 <= top_m <= n:
         raise ValidationError(f"top_m must lie in [1, {n}], got {top_m}")
-    top = _spectrum(set_)[n - top_m :]
+    top = spectrum[n - top_m :]
     top = top[top > EIGENVALUE_TOL]
     weights = top / top.sum()
     return float(-(weights * np.log(weights)).sum())
+
+
+def vendi_score(set_: EmbeddingSet) -> float:
+    """exp of the entropy of the normalized similarity spectrum, in [1, n]."""
+    return _vendi(_spectrum(set_, "vendi score"))
+
+
+def truncated_spectral_entropy(set_: EmbeddingSet, top_m: int) -> float:
+    """Entropy (nats) of the top-m Gram eigenvalues, renormalized to sum 1."""
+    return _truncated_entropy(_spectrum(set_, "truncated spectral entropy"), top_m)
 
 
 def mean_alignment(set_: EmbeddingSet, query: Embedding) -> float:
@@ -94,9 +95,10 @@ def metric_report(set_: EmbeddingSet, query: Embedding, top_m: int | None = None
     """Bundle the three metrics; top_m defaults to min(n, 8)."""
     if top_m is None:
         top_m = min(len(set_), DEFAULT_TOP_M)
+    spectrum = _spectrum(set_, "vendi score")
     return MetricReport(
-        vendi=vendi_score(set_),
-        truncated_entropy=truncated_spectral_entropy(set_, top_m),
+        vendi=_vendi(spectrum),
+        truncated_entropy=_truncated_entropy(spectrum, top_m),
         mean_alignment=mean_alignment(set_, query),
         n=len(set_),
     )

@@ -52,6 +52,8 @@ class ReferenceSet:
             raise ValidationError(
                 f"reference members have dimension {self.members.dim}, query has {self.query.dim}"
             )
+        # log det(G_S + I) of the members, the base every marginal gain subtracts
+        self._logdet = logdet_regularized_gram(unit_gram(self.members.matrix()))
 
     @classmethod
     def empty(cls, query: Embedding) -> "ReferenceSet":
@@ -112,14 +114,8 @@ def marginal_gain(candidate: Embedding, ref: ReferenceSet) -> float:
             f"candidate {candidate.id!r} has dimension {candidate.dim}, "
             f"reference set has {ref.members.dim}"
         )
-    members = ref.members.matrix()
-    if len(ref):
-        union = np.vstack([members, candidate.vector])
-        base = logdet_regularized_gram(unit_gram(members))
-    else:
-        union = candidate.vector[None, :]
-        base = 0.0
-    return logdet_regularized_gram(unit_gram(union)) - base
+    union = np.vstack([ref.members.matrix(), candidate.vector]) if len(ref) else candidate.vector[None, :]
+    return logdet_regularized_gram(unit_gram(union)) - ref._logdet
 
 
 def relevance(candidate: Embedding, ref: ReferenceSet) -> float:
@@ -149,12 +145,8 @@ def composite_reward(
     candidate-query cosine, the limit consistent with requiring alignment
     to the query when no variants exist yet.
     """
-    check_weights(lambda_div, lambda_rel)
     gain = marginal_gain(candidate, ref)
-    if len(ref):
-        rel = relevance(candidate, ref)
-    else:
-        rel = float(candidate.vector @ ref.query.vector)
+    rel = relevance(candidate, ref) if len(ref) else float(candidate.vector @ ref.query.vector)
     return RewardBreakdown(
         diversity_gain=gain,
         relevance=rel,

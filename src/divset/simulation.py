@@ -11,12 +11,12 @@ across seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .embeddings import Embedding, EmbeddingSet, normalize
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .grpo import GrpoConfig, TrainingTask, train
 from .metrics import mean_alignment, vendi_score
 from .rollout import ROLLOUT_MODES, rollout_policy
@@ -80,6 +80,11 @@ def make_world(
     any reasonable sigma. The query is the normalized tapered sum of the
     centers, positively correlated with all of them.
     """
+    n_modes = check_number("n_modes", n_modes, integer=True)
+    n_candidates = check_number("n_candidates", n_candidates, integer=True)
+    dim = check_number("dim", dim, integer=True)
+    sigma = check_number("sigma", sigma)
+    seed = check_number("seed", seed, integer=True)
     if n_modes < 1:
         raise ValidationError(f"n_modes must be at least 1, got {n_modes}")
     if n_modes > dim:
@@ -124,13 +129,7 @@ class RunRecord:
     mean_alignment: float
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "selected_ids": self.selected_ids,
-            "mode_coverage": self.mode_coverage,
-            "vendi": self.vendi,
-            "mean_alignment": self.mean_alignment,
-        }
+        return asdict(self)
 
 
 METRIC_NAMES = ("mode_coverage", "vendi", "mean_alignment")
@@ -211,7 +210,7 @@ def run_experiment(
     """
     if len(arms) < 2:
         raise ValidationError("an experiment needs at least two arms to compare")
-    seeds = DEFAULT_SEEDS if seeds is None else list(seeds)
+    seeds = [check_number("seed", s, integer=True) for s in (DEFAULT_SEEDS if seeds is None else seeds)]
     if not seeds:
         raise ValidationError("at least one seed is required")
     if rollout_mode not in ROLLOUT_MODES:
@@ -227,10 +226,10 @@ def run_experiment(
     for name, arm in zip(names, arms):
         runs = []
         for seed in seeds:
-            config = replace(arm, seed=int(seed))
+            config = replace(arm, seed=seed)
             policy, _ = train(config, task)
             # decorrelate the rollout stream from the training stream
-            rollout_seed = int(np.random.SeedSequence([int(seed), 1]).generate_state(1)[0])
+            rollout_seed = int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
             rollout = rollout_policy(
                 policy,
                 world.query,
@@ -242,7 +241,7 @@ def run_experiment(
             )
             runs.append(
                 RunRecord(
-                    seed=int(seed),
+                    seed=seed,
                     selected_ids=rollout.selected.ids(),
                     mode_coverage=world.mode_coverage(rollout.selected.ids()),
                     vendi=vendi_score(rollout.selected),
@@ -250,4 +249,4 @@ def run_experiment(
                 )
             )
         results.append(ArmResult(name=name, config=arm, runs=runs))
-    return ExperimentResult(arms=results, seeds=[int(s) for s in seeds], k=k, rollout_mode=rollout_mode)
+    return ExperimentResult(arms=results, seeds=seeds, k=k, rollout_mode=rollout_mode)

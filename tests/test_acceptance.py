@@ -246,6 +246,7 @@ def default_world_experiment():
     return result, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_7_composite_beats_relevance_only(default_world_experiment):
     with criterion(7, "composite arm beats relevance-only on coverage and vendi within the alignment budget"):
         result, elapsed = default_world_experiment
@@ -260,6 +261,7 @@ def test_criterion_7_composite_beats_relevance_only(default_world_experiment):
         assert elapsed < 120.0, f"experiment took {elapsed:.1f}s"
 
 
+@pytest.mark.slow
 def test_criterion_8_lambda_ablation_direction(default_world_experiment):
     with criterion(8, "vendi non-decreasing and alignment non-increasing in lambda_div"):
         result, _ = default_world_experiment

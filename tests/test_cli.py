@@ -283,6 +283,31 @@ class TestSimulate:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"k": 2.5}, "k"),
+            ({"k": "3"}, "k"),
+            ({"k": True}, "k"),
+            ({"grpo": {"learning_rate": "x"}}, "learning_rate"),
+            ({"grpo": {"lambda_div": True}}, "lambda_div"),
+            ({"world": {"sigma": "x"}}, "sigma"),
+            ({"world": {"n_modes": 2.5}}, "n_modes"),
+            ({"world": {"seed": "x"}}, "seed"),
+            ({"seeds": [0, "a"]}, "seed"),
+            ({"seeds": "01"}, "seeds"),
+            ({"arms": [{"name": "a", "lambda_div": "a", "lambda_rel": 0.5}, SMALL_CONFIG["arms"][1]]}, "lambda_div"),
+        ],
+        ids=str,
+    )
+    def test_wrong_type_exits_2_naming_field(self, tmp_path, capsys, override, field):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, **override}))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert f"{field} must be" in capsys.readouterr().err.replace('"', "")
+        assert not out.exists()
+
     def test_runs_log_refuses_nan(self, tmp_path, monkeypatch):
         real = cli.run_experiment
 
@@ -331,6 +356,12 @@ class TestSimulate:
 
 
 class TestTrainCommand:
+    def test_non_integer_k_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"version": 1, "grpo": {"iterations": 2}, "k": 2.5}))
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        assert "k must be an integer" in capsys.readouterr().err
+
     def test_writes_artifacts(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(

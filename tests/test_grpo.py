@@ -15,12 +15,14 @@ from divset import (
     TrainingTask,
     ValidationError,
     compute_advantages,
+    composite_reward,
     policy_probs,
     sample_group,
     surrogate_gradient,
     surrogate_objective,
     train,
 )
+from divset import grpo
 from divset.grpo import context_features, exact_kl, policy_entropy, save_training_log
 
 
@@ -340,6 +342,80 @@ class TestTrain:
         assert policy.theta.shape == (3,)
 
 
+def reference_train(config, task):
+    """train() as the plain GRPO loop: sync a copy of the policy as the old
+    policy, keep the all-zero initial policy as the reference, and take the
+    objective, gradient and KL from the public surrogate functions."""
+    policy = ToyPolicy(task.vocabulary)
+    ref_policy = policy.copy()
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    records = []
+    for iteration in range(config.iterations):
+        lo, hi = task.context_sizes
+        size = int(rng.integers(lo, hi + 1))
+        chosen = sorted(rng.choice(len(task.exemplars), size=size, replace=False).tolist())
+        ref = ReferenceSet(EmbeddingSet([task.exemplars[i] for i in chosen]), task.query)
+        group_seed = int(rng.integers(0, 2**63))
+        old = policy.copy()
+        group = sample_group(old, task.query, ref, config.group_size, group_seed)
+        group.rewards = np.array(
+            [composite_reward(item, ref, config.lambda_div, config.lambda_rel).composite for item in group.items]
+        )
+        group.advantages = compute_advantages(group.rewards)
+        args = (policy, old, ref_policy, group, task.query, ref, config.clip_epsilon, config.kl_beta)
+        objective = surrogate_objective(*args)
+        theta_grad, bias_grad = surrogate_gradient(*args)
+        p_new = policy_probs(policy, task.query, ref)
+        kl = exact_kl(p_new, policy_probs(ref_policy, task.query, ref))
+        policy.theta = policy.theta + config.learning_rate * theta_grad
+        policy.bias = policy.bias + config.learning_rate * bias_grad
+        records.append(
+            {
+                "iteration": iteration,
+                "objective": objective,
+                "mean_reward": float(group.rewards.mean()),
+                "kl": kl,
+                "policy_entropy": policy_entropy(p_new),
+            }
+        )
+    return policy, records
+
+
+class TestTrainMatchesReferenceLoop:
+    """train() evaluates each context once; it must equal the plain loop bit for bit."""
+
+    @pytest.mark.parametrize("kl_beta, learning_rate", [(0.04, 0.01), (0.5, 0.3)])
+    def test_records_and_parameters_equal(self, kl_beta, learning_rate):
+        rng = np.random.default_rng(21)
+        exemplars = unit_set(rng, 4, 8, "x")
+        task = toy_task(rng, exemplars=exemplars, context_sizes=(0, 4))
+        config = GrpoConfig(iterations=60, kl_beta=kl_beta, learning_rate=learning_rate, seed=9)
+        policy, records = train(config, task)
+        expected_policy, expected_records = reference_train(config, task)
+        assert records == expected_records
+        assert np.array_equal(policy.theta, expected_policy.theta)
+        assert np.array_equal(policy.bias, expected_policy.bias)
+        assert any(r["kl"] > 0.0 for r in records)
+
+    def test_context_features_at_most_twice_per_iteration(self, monkeypatch):
+        calls = []
+        real = grpo.context_features
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(grpo, "context_features", counting)
+        task = toy_task(np.random.default_rng(22), exemplars=unit_set(np.random.default_rng(23), 3, 8, "x"))
+        train(GrpoConfig(iterations=20, seed=2), task)
+        assert 0 < len(calls) <= 2 * 20
+
+    def test_clip_epsilon_does_not_change_training(self):
+        task = toy_task(np.random.default_rng(24))
+        runs = [train(GrpoConfig(iterations=30, clip_epsilon=eps, seed=3), task)[1] for eps in (0.01, 0.9)]
+        assert runs[0] == runs[1]
+
+
 class TestGrpoConfig:
     def test_epsilon_out_of_range(self):
         with pytest.raises(ValidationError, match=r"\(0, 1\)"):
@@ -366,6 +442,19 @@ class TestGrpoConfig:
     def test_training_log_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError, match="JSON compliant"):
             save_training_log([{"iteration": 0, "objective": math.nan}], tmp_path / "log.jsonl")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("group_size", "8"), ("learning_rate", "x"), ("lambda_div", True), ("seed", None), ("iterations", math.nan)],
+    )
+    def test_wrong_type_rejected_naming_field(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            GrpoConfig(**{field: value})
+
+    def test_integral_float_fields_become_ints(self):
+        config = GrpoConfig(group_size=4.0, iterations=10.0, seed=3.0)
+        assert (config.group_size, config.iterations, config.seed) == (4, 10, 3)
+        assert all(type(v) is int for v in (config.group_size, config.iterations, config.seed))
 
     def test_defaults_valid(self):
         config = GrpoConfig()

@@ -14,6 +14,7 @@ from divset import (
     ToyPolicy,
     ValidationError,
     build_kernel,
+    composite_reward,
     diversity_score,
     log_det_regularized,
     marginal_gain,
@@ -22,6 +23,8 @@ from divset import (
     principal_submatrix,
     relevance,
     save_embeddings,
+    truncated_spectral_entropy,
+    vendi_score,
 )
 from divset.cli import main
 
@@ -164,20 +167,25 @@ class TestPrincipalSubmatrix:
             principal_submatrix(k, [0, 3])
 
 
+def counting(monkeypatch, name):
+    """Count the calls of numpy.linalg.<name> for the rest of the test."""
+    calls = []
+    real = getattr(np.linalg, name)
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestValidationCost:
     """Kernels built from checked rows are not re-validated."""
 
     @pytest.fixture
     def cholesky_calls(self, monkeypatch):
-        calls = []
-        real = np.linalg.cholesky
-
-        def counting(a):
-            calls.append(a.shape)
-            return real(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
-        return calls
+        return counting(monkeypatch, "cholesky")
 
     def test_diversity_score_factors_once(self, cholesky_calls):
         diversity_score(unit_set(np.random.default_rng(0), 5, 4))
@@ -196,6 +204,36 @@ class TestValidationCost:
     def test_caller_built_kernel_still_factors(self, cholesky_calls):
         KernelMatrix(np.eye(3))
         assert len(cholesky_calls) == 1
+
+
+class TestRepeatedWork:
+    """A fixed reference set and a metric report each factor their matrix once."""
+
+    def test_one_cholesky_per_reward_against_fixed_reference(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        ref = ReferenceSet(unit_set(rng, 4, 6, "m"), Embedding("q", random_unit_rows(rng, 1, 6)[0]))
+        candidates = unit_set(rng, 10, 6)
+        calls = counting(monkeypatch, "cholesky")
+        for candidate in candidates:
+            composite_reward(candidate, ref)
+        assert calls == [(5, 5)] * 10
+
+    def test_reference_log_volume_is_subtracted(self):
+        rng = np.random.default_rng(4)
+        members = unit_set(rng, 3, 5, "m")
+        candidate = unit_set(rng, 1, 5)[0]
+        ref = ReferenceSet(members, Embedding("q", random_unit_rows(rng, 1, 5)[0]))
+        union = EmbeddingSet([*members, candidate])
+        assert marginal_gain(candidate, ref) == diversity_score(union) - diversity_score(members)
+
+    def test_metric_report_one_eigendecomposition(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        items = unit_set(rng, 12, 6)
+        calls = counting(monkeypatch, "eigvalsh")
+        report = metric_report(items, Embedding("q", random_unit_rows(rng, 1, 6)[0]), top_m=4)
+        assert calls == [(12, 12)]
+        assert report.vendi == vendi_score(items)
+        assert report.truncated_entropy == truncated_spectral_entropy(items, 4)
 
 
 GOOD = Embedding("good", [1.0, 0.0])
