@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .embeddings import Embedding, EmbeddingSet, load_embeddings
@@ -20,81 +21,90 @@ from .errors import NumericalError, ValidationError, check_number
 from .grpo import GrpoConfig, save_training_log, train
 from .kernel import require_unit
 from .metrics import metric_report
-from .rewards import LAMBDA_ABLATION_GRID, ReferenceSet, check_weights, composite_reward
+from .rewards import (
+    DEFAULT_LAMBDA_DIV,
+    DEFAULT_LAMBDA_REL,
+    LAMBDA_ABLATION_GRID,
+    ReferenceSet,
+    check_weights,
+    composite_reward,
+)
 from .rollout import brute_force_select, greedy_select, rollout_policy
 from .simulation import (
     DEFAULT_K,
     DEFAULT_ROLLOUT_MODE,
     DEFAULT_SEEDS,
     DEFAULT_WORLD,
+    SimWorld,
+    arm_name,
+    check_rollout,
     make_world,
     run_experiment,
 )
 
 CONFIG_VERSION = 1
 
-WORLD_KEYS = ("n_modes", "n_candidates", "dim", "sigma", "seed")
-GRPO_KEYS = (
-    "group_size",
-    "clip_epsilon",
-    "kl_beta",
-    "learning_rate",
-    "iterations",
-    "lambda_div",
-    "lambda_rel",
-    "seed",
-)
+# Each command's top-level config keys besides the mandatory "version", with their defaults.
+TRAIN_DEFAULTS = {"world": {}, "grpo": {}, "k": DEFAULT_K, "rollout_mode": DEFAULT_ROLLOUT_MODE}
+DEFAULT_SIMULATE_ARMS = [
+    {"name": "composite", "lambda_div": DEFAULT_LAMBDA_DIV, "lambda_rel": DEFAULT_LAMBDA_REL},
+    {"name": "relevance-only", "lambda_div": 0.0, "lambda_rel": 1.0},
+]
+SIMULATE_DEFAULTS = {**TRAIN_DEFAULTS, "arms": DEFAULT_SIMULATE_ARMS, "seeds": DEFAULT_SEEDS}
 
 
-def _check_keys(mapping: dict, allowed: tuple[str, ...], context: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
+def _section(value, keys, name: str) -> dict:
+    """``value`` if it is an object using only ``keys``, else raise naming the section."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{name} must be an object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
     if unknown:
-        raise ValidationError(f"unknown {context} key(s): {', '.join(unknown)}")
+        raise ValidationError(f"unknown {name} key(s): {', '.join(unknown)}")
+    return value
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ValidationError("config must be a JSON object")
+def _load_config(path: str | None, defaults: dict) -> dict:
+    """The config file at ``path`` (none: an empty config) over the command's ``defaults``."""
+    config = {"version": CONFIG_VERSION}
+    if path:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                config = json.load(fh)
+        except FileNotFoundError as exc:
+            raise ValidationError(f"config file not found: {path}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
+    _section(config, [*defaults, "version"], "config")
     if config.get("version") != CONFIG_VERSION:
         raise ValidationError(
             f"config must declare \"version\": {CONFIG_VERSION}, got {config.get('version')!r}"
         )
-    return config
+    return {**defaults, **config, "version": CONFIG_VERSION}
 
 
-def _resolve_world(section: dict) -> dict:
-    _check_keys(section, WORLD_KEYS, "world")
-    return {**DEFAULT_WORLD, **section}
+def _resolve_shared(config: dict) -> tuple[dict, SimWorld, GrpoConfig, int]:
+    """World parameters, world, GRPO config and k: the keys train and simulate share."""
+    world_params = {**DEFAULT_WORLD, **_section(config["world"], DEFAULT_WORLD, "world")}
+    grpo = GrpoConfig(**_section(config["grpo"], [f.name for f in fields(GrpoConfig)], "grpo"))
+    k = check_number("k", config["k"], integer=True)
+    return world_params, make_world(**world_params), grpo, k
 
 
-def _resolve_grpo(section: dict) -> GrpoConfig:
-    _check_keys(section, GRPO_KEYS, "grpo")
-    return GrpoConfig(**section)
-
-
-def _resolve_arms(arms, grpo_section: dict) -> tuple[list[str], list[GrpoConfig]]:
+def _resolve_arms(arms, grpo: GrpoConfig) -> tuple[list[str], list[GrpoConfig]]:
     if arms == "lambda-ablation":
         arms = [{"lambda_div": ld, "lambda_rel": lr} for ld, lr in LAMBDA_ABLATION_GRID]
     if not isinstance(arms, list):
         raise ValidationError('config "arms" must be a list or the preset "lambda-ablation"')
     names, configs = [], []
     for i, arm in enumerate(arms):
-        if not isinstance(arm, dict):
-            raise ValidationError(f"arm {i} must be an object")
-        _check_keys(arm, ("name", "lambda_div", "lambda_rel"), f"arm {i}")
+        _section(arm, ("name", "lambda_div", "lambda_rel"), f"arm {i}")
         if "lambda_div" not in arm or "lambda_rel" not in arm:
             raise ValidationError(f"arm {i} must set lambda_div and lambda_rel")
-        config = _resolve_grpo(
-            {**grpo_section, "lambda_div": arm["lambda_div"], "lambda_rel": arm["lambda_rel"]}
-        )
-        names.append(arm.get("name", f"div{arm['lambda_div']:g}-rel{arm['lambda_rel']:g}"))
+        config = replace(grpo, lambda_div=arm["lambda_div"], lambda_rel=arm["lambda_rel"])
+        name = arm.get("name", arm_name(config))
+        if not isinstance(name, str):
+            raise ValidationError(f"arm {i} name must be a string, got {name!r}")
+        names.append(name)
         configs.append(config)
     return names, configs
 
@@ -175,14 +185,10 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, ("version", "world", "grpo", "k", "rollout_mode"), "config")
-    world_params = _resolve_world(config.get("world", {}))
-    grpo = _resolve_grpo(config.get("grpo", {}))
-    k = check_number("k", config.get("k", DEFAULT_K), integer=True)
-    rollout_mode = config.get("rollout_mode", DEFAULT_ROLLOUT_MODE)
-
-    world = make_world(**world_params)
+    config = _load_config(args.config, TRAIN_DEFAULTS)
+    world_params, world, grpo, k = _resolve_shared(config)
+    rollout_mode = config["rollout_mode"]
+    check_rollout(world, k, rollout_mode)
     policy, records = train(grpo, world)
     rollout = rollout_policy(
         policy,
@@ -197,13 +203,7 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = {
-        "version": CONFIG_VERSION,
-        "world": world_params,
-        "grpo": grpo.to_dict(),
-        "k": k,
-        "rollout_mode": rollout_mode,
-    }
+    resolved = {**config, "world": world_params, "grpo": grpo.to_dict(), "k": k}
     _write_json(resolved, out / "config.json")
     save_training_log(records, out / "training_log.jsonl")
     _write_json(
@@ -222,41 +222,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-DEFAULT_SIMULATE_ARMS = [
-    {"name": "composite", "lambda_div": 0.5, "lambda_rel": 0.5},
-    {"name": "relevance-only", "lambda_div": 0.0, "lambda_rel": 1.0},
-]
-
-
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config) if args.config else {"version": CONFIG_VERSION}
-    _check_keys(config, ("version", "world", "grpo", "arms", "k", "seeds", "rollout_mode"), "config")
-    world_params = _resolve_world(config.get("world", {}))
-    grpo_section = config.get("grpo", {})
-    _resolve_grpo(grpo_section)  # validates the section even where arms override its lambdas
-    names, arms = _resolve_arms(config.get("arms", DEFAULT_SIMULATE_ARMS), grpo_section)
-    k = check_number("k", config.get("k", DEFAULT_K), integer=True)
-    seeds = config.get("seeds", DEFAULT_SEEDS)
+    config = _load_config(args.config, SIMULATE_DEFAULTS)
+    world_params, world, grpo, k = _resolve_shared(config)
+    names, arms = _resolve_arms(config["arms"], grpo)
+    seeds = config["seeds"]
     if not isinstance(seeds, list):
         raise ValidationError(f'config "seeds" must be a list of integers, got {seeds!r}')
-    rollout_mode = config.get("rollout_mode", DEFAULT_ROLLOUT_MODE)
+    rollout_mode = config["rollout_mode"]
 
-    world = make_world(**world_params)
     result = run_experiment(world, arms, k=k, seeds=seeds, rollout_mode=rollout_mode, arm_names=names)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     resolved = {
-        "version": CONFIG_VERSION,
+        **config,
         "world": world_params,
-        "grpo": grpo_section,
         "arms": [
             {"name": name, "lambda_div": arm.lambda_div, "lambda_rel": arm.lambda_rel}
             for name, arm in zip(names, arms)
         ],
         "k": k,
-        "seeds": list(seeds),
-        "rollout_mode": rollout_mode,
     }
     _write_json(resolved, out / "config.json")
     with open(out / "runs.jsonl", "w", encoding="utf-8") as fh:
@@ -311,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--embeddings", required=True)
     score.add_argument("--query-id", required=True)
     score.add_argument("--ref-id", action="append", help="reference member id (repeatable)")
-    score.add_argument("--lambda-div", type=float, default=0.5)
-    score.add_argument("--lambda-rel", type=float, default=0.5)
+    score.add_argument("--lambda-div", type=float, default=DEFAULT_LAMBDA_DIV)
+    score.add_argument("--lambda-rel", type=float, default=DEFAULT_LAMBDA_REL)
     score.add_argument("--out")
     score.set_defaults(func=cmd_score)
 
@@ -321,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--query-id", required=True)
     select.add_argument("--k", type=int, required=True)
     select.add_argument("--mode", choices=("greedy", "bruteforce"), default="greedy")
-    select.add_argument("--lambda-div", type=float, default=0.5)
-    select.add_argument("--lambda-rel", type=float, default=0.5)
+    select.add_argument("--lambda-div", type=float, default=DEFAULT_LAMBDA_DIV)
+    select.add_argument("--lambda-rel", type=float, default=DEFAULT_LAMBDA_REL)
     select.add_argument("--out")
     select.set_defaults(func=cmd_select)
 
@@ -351,8 +337,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        # the config reader handles its own; this is the --embeddings file
+        print(f"error: {args.embeddings} is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -18,9 +18,11 @@ class NumericalError(ArithmeticError):
 
 
 def check_number(name: str, value, integer: bool = False):
-    """Return a real, non-bool config value (as an int when ``integer``), else raise naming it."""
+    """Return a real, non-bool config value (as an int when ``integer``), else raise naming it.
+
+    Every integer field is a count or a seed, so it must also be >= 0."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    if integer and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if integer and not ((isinstance(value, numbers.Integral) or float(value).is_integer()) and value >= 0):
+        raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
     return int(value) if integer else value

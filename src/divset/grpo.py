@@ -26,7 +26,7 @@ import numpy as np
 from .embeddings import Embedding, EmbeddingSet
 from .errors import NumericalError, ValidationError, check_number
 from .kernel import require_unit_rows
-from .rewards import ReferenceSet, check_weights, composite_reward
+from .rewards import DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL, ReferenceSet, check_weights, composite_reward
 
 N_FEATURES = 3
 
@@ -274,8 +274,8 @@ class GrpoConfig:
     kl_beta: float = 0.04
     learning_rate: float = 0.01
     iterations: int = 1200
-    lambda_div: float = 0.5
-    lambda_rel: float = 0.5
+    lambda_div: float = DEFAULT_LAMBDA_DIV
+    lambda_rel: float = DEFAULT_LAMBDA_REL
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -292,8 +292,6 @@ class GrpoConfig:
             raise ValidationError(f"kl_beta must be finite and >= 0, got {self.kl_beta}")
         if not 0 < self.learning_rate < math.inf:
             raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.iterations < 0:
-            raise ValidationError(f"iterations must be a non-negative integer, got {self.iterations}")
         check_weights(self.lambda_div, self.lambda_rel)
 
     def to_dict(self) -> dict:

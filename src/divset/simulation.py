@@ -193,6 +193,14 @@ def arm_name(config: GrpoConfig) -> str:
     return f"div{config.lambda_div:g}-rel{config.lambda_rel:g}"
 
 
+def check_rollout(world: SimWorld, k: int, rollout_mode: str) -> None:
+    """Reject a rollout mode or a selection size k the world cannot serve."""
+    if rollout_mode not in ROLLOUT_MODES:
+        raise ValidationError(f"rollout_mode must be one of {ROLLOUT_MODES}, got {rollout_mode!r}")
+    if not 1 <= k <= len(world.vocabulary):
+        raise ValidationError(f"k must lie in [1, {len(world.vocabulary)}], got {k}")
+
+
 def run_experiment(
     world: SimWorld,
     arms: list[GrpoConfig],
@@ -213,10 +221,7 @@ def run_experiment(
     seeds = [check_number("seed", s, integer=True) for s in (DEFAULT_SEEDS if seeds is None else seeds)]
     if not seeds:
         raise ValidationError("at least one seed is required")
-    if rollout_mode not in ROLLOUT_MODES:
-        raise ValidationError(f"rollout_mode must be one of {ROLLOUT_MODES}, got {rollout_mode!r}")
-    if not 1 <= k <= len(world.vocabulary):
-        raise ValidationError(f"k must lie in [1, {len(world.vocabulary)}], got {k}")
+    check_rollout(world, k, rollout_mode)
     names = arm_names if arm_names is not None else [arm_name(cfg) for cfg in arms]
     if len(names) != len(arms) or len(set(names)) != len(arms):
         raise ValidationError("arm names must be unique and match the number of arms")

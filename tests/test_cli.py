@@ -297,6 +297,15 @@ class TestSimulate:
             ({"seeds": [0, "a"]}, "seed"),
             ({"seeds": "01"}, "seeds"),
             ({"arms": [{"name": "a", "lambda_div": "a", "lambda_rel": 0.5}, SMALL_CONFIG["arms"][1]]}, "lambda_div"),
+            ({"world": 5}, "world"),
+            ({"world": []}, "world"),
+            ({"grpo": []}, "grpo"),
+            ({"grpo": "seed"}, "grpo"),
+            ({"world": {"seed": -1}}, "seed"),
+            ({"seeds": [-1]}, "seed"),
+            ({"grpo": {"seed": -1}}, "seed"),
+            ({"arms": [{"name": ["x"], "lambda_div": 0.5, "lambda_rel": 0.5}, SMALL_CONFIG["arms"][1]]}, "name"),
+            ({"arms": [{"name": 5, "lambda_div": 0.5, "lambda_rel": 0.5}, SMALL_CONFIG["arms"][1]]}, "name"),
         ],
         ids=str,
     )
@@ -356,6 +365,24 @@ class TestSimulate:
 
 
 class TestTrainCommand:
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"grpo": {"iterations": 2, "seed": -1}}, "seed"),
+            ({"rollout_mode": "beam"}, "rollout_mode"),
+            ({"k": 13}, "k"),
+        ],
+        ids=str,
+    )
+    def test_rejected_before_training(self, tmp_path, capsys, monkeypatch, override, field):
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("trained on a rejected config"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"version": 1, "world": SMALL_CONFIG["world"], "k": 3, **override}))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert f"{field} must" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_integer_k_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"version": 1, "grpo": {"iterations": 2}, "k": 2.5}))

@@ -23,7 +23,7 @@ from divset import (
     rollout_policy,
     surrogate_objective,
 )
-from divset.cli import _load_config, _resolve_arms, _resolve_grpo, _resolve_world, main
+from divset.cli import SIMULATE_DEFAULTS, TRAIN_DEFAULTS, _load_config, _resolve_arms, _resolve_shared, main
 from divset.grpo import save_training_log
 from divset.kernel import logdet_regularized_gram
 from divset.simulation import DEFAULT_WORLD
@@ -137,13 +137,12 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 class TestShippedConfigs:
     def test_simulate_default_parses_and_matches_builtin_defaults(self):
-        config = _load_config(str(CONFIG_DIR / "simulate-default.json"))
-        world = _resolve_world(config["world"])
+        config = _load_config(str(CONFIG_DIR / "simulate-default.json"), SIMULATE_DEFAULTS)
+        world, _, grpo, _ = _resolve_shared(config)
         assert world == DEFAULT_WORLD
-        names, arms = _resolve_arms(config["arms"], config["grpo"])
+        names, arms = _resolve_arms(config["arms"], grpo)
         assert names == ["composite", "relevance-only"]
         assert [(a.lambda_div, a.lambda_rel) for a in arms] == [(0.5, 0.5), (0.0, 1.0)]
-        grpo = _resolve_grpo(config["grpo"])
         defaults = GrpoConfig()
         assert (grpo.group_size, grpo.clip_epsilon, grpo.kl_beta, grpo.learning_rate) == (
             defaults.group_size,
@@ -153,13 +152,13 @@ class TestShippedConfigs:
         )
 
     def test_lambda_ablation_config_expands_grid(self):
-        config = _load_config(str(CONFIG_DIR / "simulate-lambda-ablation.json"))
-        names, arms = _resolve_arms(config["arms"], config["grpo"])
+        config = _load_config(str(CONFIG_DIR / "simulate-lambda-ablation.json"), SIMULATE_DEFAULTS)
+        names, arms = _resolve_arms(config["arms"], _resolve_shared(config)[2])
         assert [(a.lambda_div, a.lambda_rel) for a in arms] == [(0.9, 0.1), (0.5, 0.5), (0.1, 0.9)]
 
     def test_train_default_parses(self):
-        config = _load_config(str(CONFIG_DIR / "train-default.json"))
-        grpo = _resolve_grpo(config["grpo"])
+        config = _load_config(str(CONFIG_DIR / "train-default.json"), TRAIN_DEFAULTS)
+        grpo = _resolve_shared(config)[2]
         assert grpo.lambda_div == 0.5
 
 
@@ -172,6 +171,29 @@ class TestCliErrorSurface:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["score", "--query-id", "q", "--embeddings", "nope.jsonl"], "nope.jsonl"),
+            (["score", "--query-id", "q", "--embeddings", "subdir"], "subdir"),
+            (["score", "--query-id", "q", "--embeddings", "latin1.jsonl"], "latin1.jsonl"),
+            (["score", "--query-id", "q", "--embeddings", "emb.jsonl", "--out", "gone/s.json"], "gone/s.json"),
+            (["simulate", "--config", "latin1.json", "--out", "run"], "latin1.json"),
+        ],
+        ids=["missing", "directory", "embeddings-not-utf8", "out-in-missing-dir", "config-not-utf8"],
+    )
+    def test_unreadable_file_exits_2_naming_path(self, tmp_path, monkeypatch, capsys, argv, path):
+        monkeypatch.chdir(tmp_path)
+        from divset import save_embeddings
+
+        save_embeddings(EmbeddingSet([Embedding("q", [1.0, 0.0]), Embedding("a", [0.0, 1.0])]), "emb.jsonl")
+        (tmp_path / "subdir").mkdir()
+        (tmp_path / "latin1.jsonl").write_bytes(b'{"id": "caf\xe9", "vector": [1.0, 0.0]}\n')
+        (tmp_path / "latin1.json").write_bytes(b'{"version": 1, "rollout_mode": "caf\xe9"}\n')
+        assert main(argv) == 2
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "gone").exists() and not (tmp_path / "run").exists()
 
     def test_select_excludes_query_from_pool(self, tmp_path):
         e = np.eye(3)
