@@ -75,10 +75,9 @@ def _load_config(path: str | None, defaults: dict) -> dict:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
     _section(config, [*defaults, "version"], "config")
-    if config.get("version") != CONFIG_VERSION:
-        raise ValidationError(
-            f"config must declare \"version\": {CONFIG_VERSION}, got {config.get('version')!r}"
-        )
+    version = config.get("version")
+    if type(version) is not int or version != CONFIG_VERSION:  # true and 1.0 are not the integer 1
+        raise ValidationError(f"config version must be the integer {CONFIG_VERSION}, got {version!r}")
     return {**defaults, **config, "version": CONFIG_VERSION}
 
 
@@ -113,6 +112,14 @@ def _write_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
+def _out_path(out: str | None) -> Path | None:
+    """The --out path, rejected before any work when its directory is missing."""
+    path = Path(out) if out else None
+    if path and not path.parent.is_dir():
+        raise ValidationError(f"cannot write {out}: directory {path.parent} does not exist")
+    return path
+
+
 def _load_query(embeddings: EmbeddingSet, query_id: str) -> Embedding:
     query = embeddings.get(query_id)
     require_unit(query)
@@ -120,6 +127,7 @@ def _load_query(embeddings: EmbeddingSet, query_id: str) -> Embedding:
 
 
 def cmd_score(args) -> int:
+    out = _out_path(args.out)
     check_weights(args.lambda_div, args.lambda_rel)
     embeddings = load_embeddings(args.embeddings)
     query = _load_query(embeddings, args.query_id)
@@ -148,12 +156,13 @@ def cmd_score(args) -> int:
         },
         "candidates": rows,
     }
-    if args.out:
-        _write_json(report, Path(args.out))
+    if out:
+        _write_json(report, out)
     return 0
 
 
 def cmd_select(args) -> int:
+    out = _out_path(args.out)
     check_weights(args.lambda_div, args.lambda_rel)
     embeddings = load_embeddings(args.embeddings)
     query = _load_query(embeddings, args.query_id)
@@ -179,8 +188,8 @@ def cmd_select(args) -> int:
     }
     print(f"selected: {' '.join(result['selected_ids'])}")
     print(f"final_diversity: {result['final_diversity']:.8f}")
-    if args.out:
-        _write_json(report, Path(args.out))
+    if out:
+        _write_json(report, out)
     return 0
 
 
@@ -265,24 +274,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out = _out_path(args.out)
     embeddings = load_embeddings(args.embeddings)
     query = _load_query(embeddings, args.query_id)
     items = EmbeddingSet([item for item in embeddings if item.id != args.query_id])
     report = metric_report(items, query, args.top_m)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    if args.out:
-        _write_json(
-            {
-                "command": "eval",
-                "config": {
-                    "embeddings": str(args.embeddings),
-                    "query_id": args.query_id,
-                    "top_m": args.top_m,
-                },
-                "metrics": report.to_dict(),
-            },
-            Path(args.out),
-        )
+    if out:
+        config = {"embeddings": str(args.embeddings), "query_id": args.query_id, "top_m": args.top_m}
+        _write_json({"command": "eval", "config": config, "metrics": report.to_dict()}, out)
     return 0
 
 

@@ -26,7 +26,9 @@ import numpy as np
 from .embeddings import Embedding, EmbeddingSet
 from .errors import NumericalError, ValidationError, check_number
 from .kernel import require_unit_rows
-from .rewards import DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL, ReferenceSet, check_weights, composite_reward
+from .rewards import DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL, ReferenceSet, check_weights
+# unused here, kept for the trace target divset.grpo.composite_reward in bench/spans.py
+from .rewards import composite_reward  # noqa: F401
 
 N_FEATURES = 3
 
@@ -138,14 +140,17 @@ def sample_group(
     Deterministic for a fixed seed; log-probabilities under the sampling
     policy are recorded at draw time.
     """
+    return _draw_group(policy.vocabulary, policy_probs(policy, query, ref), group_size, rng_seed)
+
+
+def _draw_group(vocabulary: EmbeddingSet, probs: np.ndarray, group_size: int, rng_seed: int):
     if group_size < 2:
         raise ValidationError(f"group size must be at least 2, got {group_size}")
-    probs = policy_probs(policy, query, ref)
     rng = np.random.default_rng(rng_seed)
     indices = rng.choice(len(probs), size=group_size, replace=True, p=probs)
     return CandidateGroup(
         indices=indices,
-        items=[policy.vocabulary[int(i)] for i in indices],
+        items=[vocabulary[int(i)] for i in indices],
         old_log_probs=np.log(probs[indices]),
     )
 
@@ -360,6 +365,7 @@ def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
     if hasattr(task, "training_task"):
         task = task.training_task()
     policy = ToyPolicy(task.vocabulary)
+    vocabulary = task.vocabulary.matrix()
     p_ref = np.full(len(task.vocabulary), 1.0 / len(task.vocabulary))  # the all-zero reference policy
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     records: list[dict] = []
@@ -367,20 +373,12 @@ def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
     for iteration in range(config.iterations):
         ref = _iteration_context(task, rng)
         group_seed = int(rng.integers(0, 2**63))
-        group = sample_group(policy, task.query, ref, config.group_size, group_seed)
-
-        reward_cache: dict[int, float] = {}
-        for idx, item in zip(group.indices, group.items):
-            if int(idx) not in reward_cache:
-                reward_cache[int(idx)] = composite_reward(
-                    item, ref, config.lambda_div, config.lambda_rel
-                ).composite
-        group.rewards = np.array([reward_cache[int(i)] for i in group.indices])
-        group.advantages = compute_advantages(group.rewards)
-
-        # one update per group: the old policy is the current one, so p_old = p_new
         features = context_features(policy, task.query, ref)
         probs = _softmax(features, policy)
+        group = _draw_group(task.vocabulary, probs, config.group_size, group_seed)
+        group.rewards = ref.rewards(vocabulary[group.indices], config.lambda_div, config.lambda_rel)[2]
+        group.advantages = compute_advantages(group.rewards)
+        # one update per group: the old policy is the current one, so p_old = p_new
         objective, kl, theta_grad, bias_grad = _clipped_surrogate(
             features, probs, probs, p_ref, group, config.clip_epsilon, config.kl_beta
         )

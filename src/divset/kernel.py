@@ -95,23 +95,20 @@ def build_kernel(set_: EmbeddingSet) -> KernelMatrix:
     return KernelMatrix._trusted(unit_gram(set_.matrix()))
 
 
-def logdet_regularized_gram(gram: np.ndarray) -> float:
-    """log det(G + I) via Cholesky for a PSD Gram matrix G.
-
-    The empty matrix returns 0 (determinant of the empty matrix is 1 by
-    convention). Cholesky failure is impossible for valid PSD input and is
-    raised as NumericalError, never replaced by a fallback.
-    """
-    n = gram.shape[0]
-    if n == 0:
-        return 0.0
+def regularized_cholesky(gram: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of G + I for a PSD Gram matrix G; a failure, impossible
+    for valid input, is raised as NumericalError, never replaced by a fallback."""
     try:
-        chol = np.linalg.cholesky(gram + np.eye(n))
+        return np.linalg.cholesky(gram + np.eye(gram.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "Cholesky factorization of L + I failed; upstream PSD invariant violated"
         ) from exc
-    return float(2.0 * np.sum(np.log(np.diagonal(chol))))
+
+
+def logdet_regularized_gram(gram: np.ndarray) -> float:
+    """log det(G + I) via Cholesky for a PSD Gram matrix G; 0 for the empty matrix."""
+    return float(2.0 * np.sum(np.log(np.diagonal(regularized_cholesky(gram)))))
 
 
 def log_det_regularized(kernel: KernelMatrix) -> float:

@@ -13,13 +13,13 @@ relevance is a legitimate penalty and is never clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .embeddings import Embedding, EmbeddingSet
 from .errors import ValidationError
-from .kernel import build_kernel, log_det_regularized, logdet_regularized_gram, require_unit, unit_gram
+from .kernel import build_kernel, logdet_regularized_gram, regularized_cholesky, require_unit, unit_gram
 
 DEFAULT_LAMBDA_DIV = 0.5
 DEFAULT_LAMBDA_REL = 0.5
@@ -52,8 +52,12 @@ class ReferenceSet:
             raise ValidationError(
                 f"reference members have dimension {self.members.dim}, query has {self.query.dim}"
             )
-        # log det(G_S + I) of the members, the base every marginal gain subtracts
-        self._logdet = logdet_regularized_gram(unit_gram(self.members.matrix()))
+        # a candidate v's products with these rows: its query cosine, mean member cosine and z (see rewards)
+        self._basis = self.query.vector[None, :]
+        members = self.members.matrix()
+        if len(members):
+            whitened = np.linalg.solve(regularized_cholesky(unit_gram(members)), members)
+            self._basis = np.vstack([self.query.vector, members.mean(axis=0), whitened])
 
     @classmethod
     def empty(cls, query: Embedding) -> "ReferenceSet":
@@ -64,6 +68,23 @@ class ReferenceSet:
 
     def with_member(self, e: Embedding) -> "ReferenceSet":
         return ReferenceSet(EmbeddingSet([*self.members.items, e]), self.query)
+
+    def rewards(self, rows: np.ndarray, lambda_div: float, lambda_rel: float) -> tuple[np.ndarray, ...]:
+        """(gain, relevance, composite) arrays for an (n, d) array of unit rows,
+        whose norms and dimension are the caller's to check.
+
+        A row v's gain, the log det(G + I) it adds to the members', is the log
+        of its Schur complement 2 - |z|^2, z = L^-1 V_S v with L the Cholesky
+        factor of G_S + I. Relevance is the query cosine times the mean member
+        cosine (the bare query cosine without members).
+        """
+        check_weights(lambda_div, lambda_rel)
+        # einsum, not BLAS: a row gets bitwise the same rewards wherever it sits in rows
+        products = np.einsum("nd,md->nm", rows, self._basis)
+        z = products[:, 2:]
+        gain = np.log(2.0 - np.einsum("ns,ns->n", z, z))
+        rel = products[:, 0] * products[:, 1] if len(self) else products[:, 0]
+        return gain, rel, lambda_div * gain + lambda_rel * rel
 
 
 @dataclass
@@ -88,18 +109,20 @@ class RewardBreakdown:
             raise ValidationError(f"relevance {self.relevance!r} outside [-1, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "diversity_gain": self.diversity_gain,
-            "relevance": self.relevance,
-            "composite": self.composite,
-            "lambda_div": self.lambda_div,
-            "lambda_rel": self.lambda_rel,
-        }
+        return asdict(self)
 
 
 def diversity_score(set_: EmbeddingSet) -> float:
     """Regularized log-volume log det(L + I) of a set; empty set scores 0."""
-    return log_det_regularized(build_kernel(set_))
+    return logdet_regularized_gram(build_kernel(set_).entries)
+
+
+def _row(candidate: Embedding, ref: ReferenceSet) -> np.ndarray:
+    """The candidate as a one-row array, once its norm and dimension are checked."""
+    require_unit(candidate)
+    if candidate.dim != ref.query.dim:
+        raise ValidationError(f"candidate {candidate.id!r}: dimension {candidate.dim}, not {ref.query.dim}")
+    return candidate.vector[None, :]
 
 
 def marginal_gain(candidate: Embedding, ref: ReferenceSet) -> float:
@@ -108,14 +131,7 @@ def marginal_gain(candidate: Embedding, ref: ReferenceSet) -> float:
     Always strictly positive, and non-increasing as the reference set grows
     (submodularity of the regularized log-det).
     """
-    require_unit(candidate)
-    if ref.members.dim is not None and candidate.dim != ref.members.dim:
-        raise ValidationError(
-            f"candidate {candidate.id!r} has dimension {candidate.dim}, "
-            f"reference set has {ref.members.dim}"
-        )
-    union = np.vstack([ref.members.matrix(), candidate.vector]) if len(ref) else candidate.vector[None, :]
-    return logdet_regularized_gram(unit_gram(union)) - ref._logdet
+    return float(ref.rewards(_row(candidate, ref), DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL)[0][0])
 
 
 def relevance(candidate: Embedding, ref: ReferenceSet) -> float:
@@ -127,10 +143,7 @@ def relevance(candidate: Embedding, ref: ReferenceSet) -> float:
     """
     if len(ref) == 0:
         raise ValidationError("relevance requires a non-empty reference set")
-    require_unit(candidate)
-    query_cos = float(candidate.vector @ ref.query.vector)
-    member_cos = ref.members.matrix() @ candidate.vector
-    return query_cos * float(np.mean(member_cos))
+    return float(ref.rewards(_row(candidate, ref), DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL)[1][0])
 
 
 def composite_reward(
@@ -145,12 +158,5 @@ def composite_reward(
     candidate-query cosine, the limit consistent with requiring alignment
     to the query when no variants exist yet.
     """
-    gain = marginal_gain(candidate, ref)
-    rel = relevance(candidate, ref) if len(ref) else float(candidate.vector @ ref.query.vector)
-    return RewardBreakdown(
-        diversity_gain=gain,
-        relevance=rel,
-        composite=lambda_div * gain + lambda_rel * rel,
-        lambda_div=lambda_div,
-        lambda_rel=lambda_rel,
-    )
+    gain, rel, composite = (float(a[0]) for a in ref.rewards(_row(candidate, ref), lambda_div, lambda_rel))
+    return RewardBreakdown(gain, rel, composite, lambda_div, lambda_rel)

@@ -18,7 +18,7 @@ import numpy as np
 from .embeddings import Embedding, EmbeddingSet
 from .errors import NumericalError, ValidationError
 from .grpo import ToyPolicy, policy_probs
-from .kernel import build_kernel, logdet_regularized_gram, unit_gram
+from .kernel import build_kernel, logdet_regularized_gram, require_unit_rows, unit_gram
 from .rewards import (
     DEFAULT_LAMBDA_DIV,
     DEFAULT_LAMBDA_REL,
@@ -114,24 +114,23 @@ def greedy_select(
     partial selection; ties go to the lowest id."""
     if k < 0 or k > len(pool):
         raise ValidationError(f"k must lie in [0, {len(pool)}], got {k}")
-    ref = ReferenceSet(EmbeddingSet([]), query)
-    remaining = sorted(pool, key=lambda item: item.id)
-    selected: list[Embedding] = []
+    if len(pool) and pool.dim != query.dim:
+        raise ValidationError(f"pool has dimension {pool.dim}, query has {query.dim}")
+    items = EmbeddingSet(sorted(pool, key=lambda item: item.id))
+    require_unit_rows(items)
+    ref = ReferenceSet.empty(query)
+    order: list[int] = []
     per_step: list[RewardBreakdown] = []
 
     for _ in range(k):
-        best_pos = -1
-        best_breakdown = None
-        for pos, item in enumerate(remaining):
-            breakdown = composite_reward(item, ref, lambda_div, lambda_rel)
-            if best_breakdown is None or breakdown.composite > best_breakdown.composite:
-                best_pos, best_breakdown = pos, breakdown
-        best_item = remaining.pop(best_pos)
-        selected.append(best_item)
-        per_step.append(best_breakdown)
-        ref = ref.with_member(best_item)
+        values = np.array(ref.rewards(items.matrix(), lambda_div, lambda_rel))  # gain, relevance, composite
+        values[2, order] = -np.inf  # already taken
+        best = int(np.argmax(values[2]))  # the first maximum: the lowest id
+        order.append(best)
+        per_step.append(RewardBreakdown(*values[:, best].tolist(), lambda_div, lambda_rel))
+        ref = ref.with_member(items[best])
 
-    chosen = EmbeddingSet(selected)
+    chosen = EmbeddingSet([items[i] for i in order])
     return RolloutResult(chosen, per_step, diversity_score(chosen))
 
 

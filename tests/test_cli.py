@@ -306,6 +306,8 @@ class TestSimulate:
             ({"grpo": {"seed": -1}}, "seed"),
             ({"arms": [{"name": ["x"], "lambda_div": 0.5, "lambda_rel": 0.5}, SMALL_CONFIG["arms"][1]]}, "name"),
             ({"arms": [{"name": 5, "lambda_div": 0.5, "lambda_rel": 0.5}, SMALL_CONFIG["arms"][1]]}, "name"),
+            ({"version": True}, "version"),
+            ({"version": 1.0}, "version"),
         ],
         ids=str,
     )
@@ -371,6 +373,8 @@ class TestTrainCommand:
             ({"grpo": {"iterations": 2, "seed": -1}}, "seed"),
             ({"rollout_mode": "beam"}, "rollout_mode"),
             ({"k": 13}, "k"),
+            ({"version": True}, "version"),
+            ({"version": 1.0}, "version"),
         ],
         ids=str,
     )

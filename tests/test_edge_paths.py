@@ -180,8 +180,18 @@ class TestCliErrorSurface:
             (["score", "--query-id", "q", "--embeddings", "latin1.jsonl"], "latin1.jsonl"),
             (["score", "--query-id", "q", "--embeddings", "emb.jsonl", "--out", "gone/s.json"], "gone/s.json"),
             (["simulate", "--config", "latin1.json", "--out", "run"], "latin1.json"),
+            (["select", "--query-id", "q", "--k", "1", "--embeddings", "nope.jsonl", "--out", "gone/s.json"], "gone/s.json"),
+            (["eval", "--query-id", "q", "--embeddings", "nope.jsonl", "--out", "gone/e.json"], "gone/e.json"),
         ],
-        ids=["missing", "directory", "embeddings-not-utf8", "out-in-missing-dir", "config-not-utf8"],
+        ids=[
+            "missing",
+            "directory",
+            "embeddings-not-utf8",
+            "out-in-missing-dir",
+            "config-not-utf8",
+            "select-out-before-load",
+            "eval-out-before-load",
+        ],
     )
     def test_unreadable_file_exits_2_naming_path(self, tmp_path, monkeypatch, capsys, argv, path):
         monkeypatch.chdir(tmp_path)
@@ -192,7 +202,9 @@ class TestCliErrorSurface:
         (tmp_path / "latin1.jsonl").write_bytes(b'{"id": "caf\xe9", "vector": [1.0, 0.0]}\n')
         (tmp_path / "latin1.json").write_bytes(b'{"version": 1, "rollout_mode": "caf\xe9"}\n')
         assert main(argv) == 2
-        assert path in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert path in err
+        assert out == ""  # rejected before any work: an --out in a missing directory is checked first
         assert not (tmp_path / "gone").exists() and not (tmp_path / "run").exists()
 
     def test_select_excludes_query_from_pool(self, tmp_path):

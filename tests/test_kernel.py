@@ -207,7 +207,8 @@ class TestValidationCost:
 
 
 class TestRepeatedWork:
-    """A fixed reference set and a metric report each factor their matrix once."""
+    """A reference set factors its members once, when it is built, and a
+    metric report takes one spectrum."""
 
     def test_one_cholesky_per_reward_against_fixed_reference(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -216,7 +217,7 @@ class TestRepeatedWork:
         calls = counting(monkeypatch, "cholesky")
         for candidate in candidates:
             composite_reward(candidate, ref)
-        assert calls == [(5, 5)] * 10
+        assert calls == []  # every gain is a Schur complement on the factor built with ref
 
     def test_reference_log_volume_is_subtracted(self):
         rng = np.random.default_rng(4)
@@ -224,7 +225,8 @@ class TestRepeatedWork:
         candidate = unit_set(rng, 1, 5)[0]
         ref = ReferenceSet(members, Embedding("q", random_unit_rows(rng, 1, 5)[0]))
         union = EmbeddingSet([*members, candidate])
-        assert marginal_gain(candidate, ref) == diversity_score(union) - diversity_score(members)
+        # the Schur complement and the difference of two log-volumes round differently
+        assert abs(marginal_gain(candidate, ref) - (diversity_score(union) - diversity_score(members))) <= 1e-12
 
     def test_metric_report_one_eigendecomposition(self, monkeypatch):
         rng = np.random.default_rng(5)

@@ -1,0 +1,146 @@
+"""The array reward evaluator against the per-candidate computations it replaced.
+
+``ReferenceSet.rewards`` takes every gain as a Schur complement on the
+members' Cholesky factor. The oracles here are the slow direct forms: the
+gain as the difference of two regularized log-volumes of stacked sets,
+relevance as the query cosine times the mean of the member cosines, and
+greedy selection as a loop that scores one candidate at a time.
+"""
+
+import numpy as np
+import pytest
+
+from divset import (
+    Embedding,
+    EmbeddingSet,
+    ReferenceSet,
+    composite_reward,
+    diversity_score,
+    greedy_select,
+    marginal_gain,
+    relevance,
+)
+
+TOL = 1e-12
+SEEDS = range(24)
+
+
+def unit_rows(rng, n, d):
+    v = rng.standard_normal((n, d))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def as_set(rows, prefix):
+    return EmbeddingSet([Embedding(f"{prefix}{i:03d}", row) for i, row in enumerate(rows)])
+
+
+def union_gain(v: np.ndarray, members: EmbeddingSet) -> float:
+    """diversity_score(S + v) - diversity_score(S), with v stacked onto the members."""
+    return diversity_score(EmbeddingSet([*members, Embedding("candidate", v)])) - diversity_score(members)
+
+
+def direct_relevance(v: np.ndarray, members: EmbeddingSet, query: Embedding) -> float:
+    query_cos = float(v @ query.vector)
+    if len(members) == 0:
+        return query_cos
+    return query_cos * float(np.mean([float(m.vector @ v) for m in members]))
+
+
+def per_candidate_greedy(pool: EmbeddingSet, query: Embedding, k: int, lambda_div: float, lambda_rel: float):
+    """The greedy loop one candidate at a time: the strictly larger composite
+    wins, so of equal composites the first in id order, the lowest id, stays."""
+    remaining = sorted(pool, key=lambda item: item.id)
+    members: list[Embedding] = []
+    composites = []
+    for _ in range(k):
+        best_pos, best = -1, -np.inf
+        chosen = EmbeddingSet(members)
+        for pos, item in enumerate(remaining):
+            gain, rel = union_gain(item.vector, chosen), direct_relevance(item.vector, chosen, query)
+            value = lambda_div * gain + lambda_rel * rel
+            if value > best:
+                best_pos, best = pos, value
+        members.append(remaining.pop(best_pos))
+        composites.append(best)
+    return [m.id for m in members], composites
+
+
+def random_case(seed):
+    """Members (0-16), a query, and candidates with fresh rows, copies of
+    members and repeated rows, in d from 2 to 64."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 65))
+    members = as_set(unit_rows(rng, int(rng.integers(0, 17)), d), "m")
+    query = Embedding("q", unit_rows(rng, 1, d)[0])
+    fresh = unit_rows(rng, 12, d)
+    copies = [m.vector for m in members][:3]
+    rows = np.vstack([fresh, *copies, fresh[:2]]) if copies else np.vstack([fresh, fresh[:2]])
+    lambda_div, lambda_rel = rng.uniform(0.0, 1.0, 2)
+    return ReferenceSet(members, query), rows, float(lambda_div), float(lambda_rel)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batch_rewards_match_direct_forms(seed):
+    ref, rows, lambda_div, lambda_rel = random_case(seed)
+    gain, rel, composite = ref.rewards(rows, lambda_div, lambda_rel)
+    for i, v in enumerate(rows):
+        expected_gain = union_gain(v, ref.members)
+        expected_rel = direct_relevance(v, ref.members, ref.query)
+        assert abs(gain[i] - expected_gain) <= TOL
+        assert abs(rel[i] - expected_rel) <= TOL
+        assert abs(composite[i] - (lambda_div * expected_gain + lambda_rel * expected_rel)) <= TOL
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_row_views_equal_batch_rows(seed):
+    ref, rows, lambda_div, lambda_rel = random_case(seed)
+    gain, rel, composite = ref.rewards(rows, lambda_div, lambda_rel)
+    for i, v in enumerate(rows):
+        candidate = Embedding(f"c{i}", v)
+        breakdown = composite_reward(candidate, ref, lambda_div, lambda_rel)
+        assert abs(breakdown.diversity_gain - gain[i]) <= TOL
+        assert abs(breakdown.relevance - rel[i]) <= TOL
+        assert abs(breakdown.composite - composite[i]) <= TOL
+        assert abs(marginal_gain(candidate, ref) - gain[i]) <= TOL
+        if len(ref):
+            assert abs(relevance(candidate, ref) - rel[i]) <= TOL
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_repeated_rows_get_equal_rewards(seed):
+    ref, rows, lambda_div, lambda_rel = random_case(seed)
+    values = np.array(ref.rewards(rows, lambda_div, lambda_rel))
+    # the last two rows repeat the first two, at other positions in the batch
+    assert np.array_equal(values[:, -2:], values[:, :2])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_greedy_matches_per_candidate_loop(seed):
+    rng = np.random.default_rng(1000 + seed)
+    d = int(rng.integers(2, 65))
+    rows = unit_rows(rng, 20, d)
+    rows = np.vstack([rows, rows[rng.integers(0, 20, 6)]])  # six duplicate vectors
+    # shuffled ids, so file order is not id order
+    pool = EmbeddingSet([Embedding(f"p{j:03d}", row) for j, row in zip(rng.permutation(len(rows)), rows)])
+    query = Embedding("q", unit_rows(rng, 1, d)[0])
+    k = int(rng.integers(1, 17))
+    lambda_div, lambda_rel = (float(x) for x in rng.uniform(0.0, 1.0, 2))
+    result = greedy_select(pool, query, k, lambda_div, lambda_rel)
+    expected_ids, expected_composites = per_candidate_greedy(pool, query, k, lambda_div, lambda_rel)
+    assert result.selected.ids() == expected_ids
+    assert np.all(np.abs([step.composite for step in result.per_step] - np.array(expected_composites)) <= TOL)
+
+
+@pytest.mark.parametrize("lambda_div, lambda_rel", [(1.0, 0.0), (0.5, 0.5), (0.0, 1.0)])
+def test_greedy_ties_go_to_lowest_id(lambda_div, lambda_rel):
+    rng = np.random.default_rng(7)
+    rows = unit_rows(rng, 9, 5)
+    # every vector twice, the copy under the lower id and later in the file
+    pool = EmbeddingSet(
+        [Embedding(f"x{2 * i + 1:02d}", row) for i, row in enumerate(rows)]
+        + [Embedding(f"x{2 * i:02d}", row) for i, row in enumerate(rows)]
+    )
+    query = Embedding("q", unit_rows(rng, 1, 5)[0])
+    result = greedy_select(pool, query, 6, lambda_div, lambda_rel)
+    assert result.selected.ids() == per_candidate_greedy(pool, query, 6, lambda_div, lambda_rel)[0]
+    assert int(result.selected.ids()[0][1:]) % 2 == 0

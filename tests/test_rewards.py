@@ -213,6 +213,15 @@ class TestReferenceSet:
         with pytest.raises(ValidationError, match="dimension"):
             ReferenceSet(EmbeddingSet([Embedding("m", [1.0, 0.0])]), q)
 
+    @pytest.mark.parametrize(
+        "view, n_members",
+        [(marginal_gain, 0), (composite_reward, 0), (marginal_gain, 1), (relevance, 1), (composite_reward, 1)],
+    )
+    def test_candidate_dim_mismatch_rejected(self, view, n_members):
+        ref = ReferenceSet(EmbeddingSet([Embedding("m", [0.0, 1.0])][:n_members]), Embedding("q", [1.0, 0.0]))
+        with pytest.raises(ValidationError, match="dimension 3"):
+            view(Embedding("c", [0.0, 0.0, 1.0]), ref)
+
     def test_with_member_appends(self):
         q = Embedding("q", [1.0, 0.0])
         ref = ReferenceSet.empty(q).with_member(Embedding("m", [0.0, 1.0]))

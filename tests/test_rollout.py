@@ -186,6 +186,11 @@ class TestGreedySelect:
         with pytest.raises(ValidationError):
             greedy_select(pool, query, k=4)
 
+    def test_pool_query_dim_mismatch_rejected(self):
+        pool = unit_set(np.random.default_rng(12), 3, 4)
+        with pytest.raises(ValidationError, match="dimension"):
+            greedy_select(pool, Embedding("q", [1.0, 0.0]), k=1)
+
     def test_matches_oracle_on_small_pool(self):
         result = greedy_select(oracle_pool(), Embedding("q", np.eye(3)[0]), k=3, lambda_div=1.0, lambda_rel=0.0)
         assert sorted(result.selected.ids()) == ["a", "b", "c"]
