@@ -17,7 +17,7 @@ from .grpo import (
     surrogate_objective,
     train,
 )
-from .kernel import KernelMatrix, build_kernel, log_det_regularized, principal_submatrix
+from .kernel import build_kernel
 from .metrics import MetricReport, mean_alignment, metric_report, truncated_spectral_entropy, vendi_score
 from .rewards import (
     LAMBDA_ABLATION_GRID,
@@ -37,7 +37,6 @@ __all__ = [
     "EmbeddingSet",
     "ExperimentResult",
     "GrpoConfig",
-    "KernelMatrix",
     "LAMBDA_ABLATION_GRID",
     "MetricReport",
     "NumericalError",
@@ -55,14 +54,12 @@ __all__ = [
     "diversity_score",
     "greedy_select",
     "load_embeddings",
-    "log_det_regularized",
     "make_world",
     "marginal_gain",
     "mean_alignment",
     "metric_report",
     "normalize",
     "policy_probs",
-    "principal_submatrix",
     "relevance",
     "rollout_policy",
     "run_experiment",

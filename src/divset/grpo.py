@@ -1,8 +1,8 @@
 """Group-relative policy optimization over a finite embedding vocabulary.
 
-The policy is a linear softmax over three context features per vocabulary
-item (query cosine, best reference-member cosine, a constant) plus a
-per-candidate bias. It is deliberately small: every quantity in the
+The policy is a linear softmax over two context features per vocabulary
+item (query cosine, best reference-member cosine) plus a per-candidate
+bias. It is deliberately small: every quantity in the
 clipped-surrogate objective, including the exact discrete KL penalty and
 the full parameter gradient, is computable in closed form and checkable
 against finite differences.
@@ -30,7 +30,7 @@ from .rewards import DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL, ReferenceSet, check
 # unused here, kept for the trace target divset.grpo.composite_reward in bench/spans.py
 from .rewards import composite_reward  # noqa: F401
 
-N_FEATURES = 3
+N_FEATURES = 2
 
 # Rewards with spread below this are treated as constant (zero advantages).
 ZERO_STD_TOL = 1e-12
@@ -42,11 +42,11 @@ class ToyPolicy:
 
     Logit of candidate c in context (query, ref):
 
-        theta[0] * cos(c, query) + theta[1] * max_g cos(c, g) + theta[2] + bias[c]
+        theta[0] * cos(c, query) + theta[1] * max_g cos(c, g) + bias[c]
 
-    with the max over an empty reference set defined as 0. theta[2] shifts
-    all logits equally and therefore never changes the distribution; it is
-    kept so the feature map stays a plain affine map.
+    with the max over an empty reference set defined as 0. There is no
+    constant feature: it would shift all logits equally and so could never
+    change the distribution.
     """
 
     vocabulary: EmbeddingSet
@@ -82,14 +82,12 @@ class ToyPolicy:
 
 
 def context_features(policy: ToyPolicy, query: Embedding, ref: ReferenceSet) -> np.ndarray:
-    """Per-candidate feature rows [cos to query, max cos to ref member, 1]."""
+    """Per-candidate feature rows [cos to query, max cos to ref member]."""
     V = policy.vocabulary.matrix()
-    f = np.ones((len(policy.vocabulary), N_FEATURES))
+    f = np.zeros((len(policy.vocabulary), N_FEATURES))
     f[:, 0] = V @ query.vector
     if len(ref):
         f[:, 1] = np.max(V @ ref.members.matrix().T, axis=1)
-    else:
-        f[:, 1] = 0.0
     return f
 
 

@@ -47,9 +47,8 @@ def _spectrum(set_: EmbeddingSet, metric: str) -> np.ndarray:
     """Eigenvalues of the cosine Gram matrix, ascending; ``metric`` names the caller."""
     if len(set_) < 1:
         raise ValidationError(f"{metric} requires a non-empty set")
-    kernel = build_kernel(set_)
     try:
-        return np.linalg.eigvalsh(kernel.entries)
+        return np.linalg.eigvalsh(build_kernel(set_))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition of the similarity matrix failed") from exc
 

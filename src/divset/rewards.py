@@ -13,13 +13,14 @@ relevance is a legitimate penalty and is never clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import Embedding, EmbeddingSet
 from .errors import ValidationError
-from .kernel import build_kernel, logdet_regularized_gram, regularized_cholesky, require_unit, unit_gram
+from .kernel import build_kernel, logdet_regularized_gram, regularized_cholesky
+from .kernel import require_unit, require_unit_rows, unit_gram
 
 DEFAULT_LAMBDA_DIV = 0.5
 DEFAULT_LAMBDA_REL = 0.5
@@ -46,8 +47,7 @@ class ReferenceSet:
 
     def __post_init__(self) -> None:
         require_unit(self.query)
-        for m in self.members:
-            require_unit(m)
+        require_unit_rows(self.members)
         if self.members.dim is not None and self.members.dim != self.query.dim:
             raise ValidationError(
                 f"reference members have dimension {self.members.dim}, query has {self.query.dim}"
@@ -109,12 +109,18 @@ class RewardBreakdown:
             raise ValidationError(f"relevance {self.relevance!r} outside [-1, 1]")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "diversity_gain": self.diversity_gain,
+            "relevance": self.relevance,
+            "composite": self.composite,
+            "lambda_div": self.lambda_div,
+            "lambda_rel": self.lambda_rel,
+        }
 
 
 def diversity_score(set_: EmbeddingSet) -> float:
     """Regularized log-volume log det(L + I) of a set; empty set scores 0."""
-    return logdet_regularized_gram(build_kernel(set_).entries)
+    return logdet_regularized_gram(build_kernel(set_))
 
 
 def _row(candidate: Embedding, ref: ReferenceSet) -> np.ndarray:

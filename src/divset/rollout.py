@@ -18,7 +18,7 @@ import numpy as np
 from .embeddings import Embedding, EmbeddingSet
 from .errors import NumericalError, ValidationError
 from .grpo import ToyPolicy, policy_probs
-from .kernel import build_kernel, logdet_regularized_gram, require_unit_rows, unit_gram
+from .kernel import build_kernel, logdet_regularized_gram, require_unit_rows
 from .rewards import (
     DEFAULT_LAMBDA_DIV,
     DEFAULT_LAMBDA_REL,
@@ -148,13 +148,12 @@ def brute_force_select(pool: EmbeddingSet, k: int) -> tuple[EmbeddingSet, float]
             f"{count} size-{k} subsets exceed the exhaustive-search budget of {BRUTE_FORCE_BUDGET}"
         )
     items = sorted(pool, key=lambda item: item.id)
-    build_kernel(EmbeddingSet(items))  # validates unit norms once up front
-    vectors = np.stack([item.vector for item in items]) if items else np.zeros((0, 0))
+    gram = build_kernel(EmbeddingSet(items))  # checks unit norms; every subset's kernel is a block of it
 
     best_subset: tuple[int, ...] = ()
     best_score = -np.inf
     for subset in itertools.combinations(range(len(items)), k):
-        score = logdet_regularized_gram(unit_gram(vectors[list(subset)])) if subset else 0.0
+        score = logdet_regularized_gram(gram[np.ix_(subset, subset)])
         if score > best_score:
             best_subset, best_score = subset, score
     return EmbeddingSet([items[i] for i in best_subset]), float(best_score)

@@ -11,6 +11,7 @@ across seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -91,8 +92,8 @@ def make_world(
         raise ValidationError(f"n_modes must not exceed dim ({n_modes} > {dim})")
     if n_candidates < n_modes:
         raise ValidationError(f"n_candidates must be at least n_modes, got {n_candidates}")
-    if sigma < 0:
-        raise ValidationError(f"sigma must be non-negative, got {sigma}")
+    if not 0.0 <= sigma < math.inf:  # False for NaN
+        raise ValidationError(f"sigma must be finite and non-negative, got {sigma}")
 
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))

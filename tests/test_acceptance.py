@@ -31,7 +31,7 @@ from divset import (
     vendi_score,
 )
 from divset.cli import main
-from divset.kernel import build_kernel, log_det_regularized
+from divset.kernel import build_kernel, logdet_regularized_gram
 from divset.simulation import DEFAULT_WORLD, make_world, run_experiment
 
 LN2 = math.log(2)
@@ -72,14 +72,14 @@ def det_by_cofactor(m):
 
 
 def test_criterion_1_logdet_oracle_equivalence():
-    with criterion(1, "log_det_regularized matches cofactor determinant on 500 random sets"):
+    with criterion(1, "logdet_regularized_gram matches cofactor determinant on 500 random sets"):
         rng = np.random.default_rng(101)
         start = time.perf_counter()
         for _ in range(500):
             n, d = int(rng.integers(1, 7)), int(rng.integers(1, 9))
             kernel = build_kernel(unit_set(rng, n, d))
-            oracle = math.log(det_by_cofactor(kernel.entries + np.eye(n)))
-            assert abs(log_det_regularized(kernel) - oracle) <= 1e-9
+            oracle = math.log(det_by_cofactor(kernel + np.eye(n)))
+            assert abs(logdet_regularized_gram(kernel) - oracle) <= 1e-9
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
@@ -147,9 +147,9 @@ def _gradient_check_instance(seed):
     vocab = unit_set(rng, n_vocab, d, "c")
     query = Embedding("q", rand_unit(rng, d))
     ref = ReferenceSet(unit_set(rng, 2, d, "g"), query)
-    new = ToyPolicy(vocab, rng.normal(0, 0.5, 3), rng.normal(0, 0.5, n_vocab))
-    old = ToyPolicy(vocab, new.theta + rng.normal(0, 0.15, 3), new.bias + rng.normal(0, 0.15, n_vocab))
-    ref_policy = ToyPolicy(vocab, rng.normal(0, 0.5, 3), rng.normal(0, 0.5, n_vocab))
+    new = ToyPolicy(vocab, rng.normal(0, 0.5, 2), rng.normal(0, 0.5, n_vocab))
+    old = ToyPolicy(vocab, new.theta + rng.normal(0, 0.15, 2), new.bias + rng.normal(0, 0.15, n_vocab))
+    ref_policy = ToyPolicy(vocab, rng.normal(0, 0.5, 2), rng.normal(0, 0.5, n_vocab))
     group = sample_group(old, query, ref, 8, rng_seed=int(rng.integers(2**31)))
     group.rewards = rng.normal(0, 1, 8)
     group.advantages = compute_advantages(group.rewards)
@@ -176,10 +176,10 @@ def test_criterion_5_surrogate_gradient_check():
                 down[j] -= h
                 numeric[j] = (
                     surrogate_objective(
-                        ToyPolicy(vocab, up[:3], up[3:]), old, ref_policy, group, query, ref, eps, beta
+                        ToyPolicy(vocab, up[:2], up[2:]), old, ref_policy, group, query, ref, eps, beta
                     )
                     - surrogate_objective(
-                        ToyPolicy(vocab, down[:3], down[3:]), old, ref_policy, group, query, ref, eps, beta
+                        ToyPolicy(vocab, down[:2], down[2:]), old, ref_policy, group, query, ref, eps, beta
                     )
                 ) / (2 * h)
             rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
@@ -196,10 +196,10 @@ def test_criterion_5_surrogate_gradient_check():
         q2 = Embedding("q", e[0])
         ref2 = ReferenceSet.empty(q2)
         for target_ratio, advantage, expected in ((1.5, 1.0, 1.2), (0.5, -1.0, -0.8)):
-            old2 = ToyPolicy(vocab2, [0.0, 0.0, 0.0], [0.0, 0.0])
+            old2 = ToyPolicy(vocab2, [0.0, 0.0], [0.0, 0.0])
             # p_old(u) = 0.5; choose the new bias so p_new(u) = 0.5 * ratio
             new2 = ToyPolicy(
-                vocab2, [0.0, 0.0, 0.0], [math.log(target_ratio / (2.0 - target_ratio)), 0.0]
+                vocab2, [0.0, 0.0], [math.log(target_ratio / (2.0 - target_ratio)), 0.0]
             )
             group2 = CandidateGroup(
                 indices=np.array([0, 0]),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,21 @@ class TestSimulate:
         before = config.read_bytes()
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
         assert config.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["train", "simulate"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_non_finite_sigma_exits_2_naming_sigma(tmp_path, capsys, command, literal):
+    body = {"version": 1, "world": {**SMALL_CONFIG["world"], "sigma": "SIGMA"}, "grpo": {"iterations": 2}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body).replace('"SIGMA"', literal))
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert caught == []
+    assert "sigma must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestTrainCommand:

@@ -52,7 +52,7 @@ class TestPolicyProbs:
     def test_single_item_vocabulary(self):
         q = Embedding("q", [1.0, 0.0])
         vocab = EmbeddingSet([Embedding("only", [0.0, 1.0])])
-        probs = policy_probs(ToyPolicy(vocab, [0.3, -1.0, 2.0]), q, ReferenceSet.empty(q))
+        probs = policy_probs(ToyPolicy(vocab, [0.3, -1.0]), q, ReferenceSet.empty(q))
         np.testing.assert_allclose(probs, [1.0], atol=1e-15)
 
     def test_negative_ref_weight_penalizes_similar_candidates(self):
@@ -60,13 +60,13 @@ class TestPolicyProbs:
         member = Embedding("g", [0.0, 1.0, 0.0])
         vocab = EmbeddingSet([Embedding("same", [0.0, 1.0, 0.0]), Embedding("orth", [0.0, 0.0, 1.0])])
         ref = ReferenceSet(EmbeddingSet([member]), q)
-        probs = policy_probs(ToyPolicy(vocab, [0.0, -10.0, 0.0]), q, ref)
+        probs = policy_probs(ToyPolicy(vocab, [0.0, -10.0]), q, ref)
         assert probs[1] > probs[0]
 
     def test_distribution_sums_to_one(self):
         rng, vocab, query, ref = make_context(3)
         for _ in range(20):
-            policy = ToyPolicy(vocab, rng.normal(0, 2, 3), rng.normal(0, 2, len(vocab)))
+            policy = ToyPolicy(vocab, rng.normal(0, 2, 2), rng.normal(0, 2, len(vocab)))
             probs = policy_probs(policy, query, ref)
             assert np.all(probs >= 0)
             np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
@@ -108,7 +108,7 @@ class TestSampleGroup:
 
     def test_old_log_probs_match_distribution(self):
         rng, vocab, query, ref = make_context(5)
-        policy = ToyPolicy(vocab, rng.normal(0, 1, 3), rng.normal(0, 1, len(vocab)))
+        policy = ToyPolicy(vocab, rng.normal(0, 1, 2), rng.normal(0, 1, len(vocab)))
         probs = policy_probs(policy, query, ref)
         group = sample_group(policy, query, ref, 16, rng_seed=2)
         np.testing.assert_allclose(group.old_log_probs, np.log(probs[group.indices]), atol=1e-15)
@@ -142,9 +142,9 @@ class TestComputeAdvantages:
 
 def make_surrogate_instance(seed, n_vocab=8, d=6, spread=0.5):
     rng, vocab, query, ref = make_context(seed, n_vocab, d)
-    new = ToyPolicy(vocab, rng.normal(0, spread, 3), rng.normal(0, spread, n_vocab))
-    old = ToyPolicy(vocab, new.theta + rng.normal(0, 0.15, 3), new.bias + rng.normal(0, 0.15, n_vocab))
-    ref_policy = ToyPolicy(vocab, rng.normal(0, spread, 3), rng.normal(0, spread, n_vocab))
+    new = ToyPolicy(vocab, rng.normal(0, spread, 2), rng.normal(0, spread, n_vocab))
+    old = ToyPolicy(vocab, new.theta + rng.normal(0, 0.15, 2), new.bias + rng.normal(0, 0.15, n_vocab))
+    ref_policy = ToyPolicy(vocab, rng.normal(0, spread, 2), rng.normal(0, spread, n_vocab))
     group = sample_group(old, query, ref, 8, rng_seed=int(rng.integers(2**31)))
     group.rewards = rng.normal(0, 1, 8)
     group.advantages = compute_advantages(group.rewards)
@@ -224,7 +224,7 @@ class TestSurrogateGradient:
             analytic = np.concatenate([g_theta, g_bias])
 
             def objective_at(flat):
-                policy = ToyPolicy(vocab, flat[:3], flat[3:])
+                policy = ToyPolicy(vocab, flat[:2], flat[2:])
                 return surrogate_objective(policy, old, ref_policy, group, query, ref, eps, beta)
 
             flat0 = np.concatenate([new.theta, new.bias])
@@ -277,7 +277,7 @@ class TestTrain:
     def test_zero_iterations_is_identity(self):
         task = toy_task(np.random.default_rng(1))
         policy, records = train(GrpoConfig(iterations=0, seed=5), task)
-        np.testing.assert_array_equal(policy.theta, np.zeros(3))
+        np.testing.assert_array_equal(policy.theta, np.zeros(2))
         np.testing.assert_array_equal(policy.bias, np.zeros(len(task.vocabulary)))
         assert records == []
 
@@ -339,7 +339,7 @@ class TestTrain:
 
         task = toy_task(np.random.default_rng(6))
         policy, _ = train(GrpoConfig(iterations=5, seed=1), WorldLike(task))
-        assert policy.theta.shape == (3,)
+        assert policy.theta.shape == (2,)
 
 
 def reference_train(config, task):

@@ -9,24 +9,22 @@ import pytest
 from divset import (
     Embedding,
     EmbeddingSet,
-    KernelMatrix,
     ReferenceSet,
     ToyPolicy,
     ValidationError,
     build_kernel,
     composite_reward,
     diversity_score,
-    log_det_regularized,
     marginal_gain,
     mean_alignment,
     metric_report,
-    principal_submatrix,
     relevance,
     save_embeddings,
     truncated_spectral_entropy,
     vendi_score,
 )
 from divset.cli import main
+from divset.kernel import logdet_regularized_gram
 
 
 def det_by_cofactor(m: np.ndarray) -> float:
@@ -61,16 +59,16 @@ class TestBuildKernel:
         x = Embedding("a", [1.0, 0.0])
         y = Embedding("b", [1.0, 0.0])
         k = build_kernel(EmbeddingSet([x, y]))
-        np.testing.assert_allclose(k.entries, [[1, 1], [1, 1]], atol=1e-15)
+        np.testing.assert_allclose(k, [[1, 1], [1, 1]], atol=1e-15)
 
     def test_orthogonal_pair(self):
         k = build_kernel(EmbeddingSet([Embedding("a", [1, 0]), Embedding("b", [0, 1])]))
-        np.testing.assert_allclose(k.entries, [[1, 0], [0, 1]], atol=1e-15)
+        np.testing.assert_allclose(k, [[1, 0], [0, 1]], atol=1e-15)
 
     def test_forty_five_degrees(self):
         s = EmbeddingSet([Embedding("a", [1.0, 0.0]), Embedding("b", [2**0.5 / 2, 2**0.5 / 2])])
         k = build_kernel(s)
-        np.testing.assert_allclose(k.entries[0, 1], 0.70710678, atol=1e-8)
+        np.testing.assert_allclose(k[0, 1], 0.70710678, atol=1e-8)
 
     def test_rejects_unnormalized(self):
         s = EmbeddingSet([Embedding("a", [1, 0]), Embedding("big", [0, 2])])
@@ -79,34 +77,19 @@ class TestBuildKernel:
 
     def test_empty_set(self):
         k = build_kernel(EmbeddingSet([]))
-        assert k.n == 0
-        assert log_det_regularized(k) == 0.0
+        assert k.shape == (0, 0)
+        assert logdet_regularized_gram(k) == 0.0
 
     def test_invariants_hold_on_random_sets(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             n, d = int(rng.integers(1, 9)), int(rng.integers(1, 10))
             k = build_kernel(unit_set(rng, n, d))
-            assert np.max(np.abs(k.entries - k.entries.T)) <= 1e-12
-            assert np.max(np.abs(np.diagonal(k.entries) - 1.0)) <= 1e-12
+            assert np.max(np.abs(k - k.T)) <= 1e-12
+            assert np.max(np.abs(np.diagonal(k) - 1.0)) <= 1e-12
             # eigenvalues of Gram + I are >= 1, so every Cholesky pivot is >= 1
-            chol = np.linalg.cholesky(k.entries + np.eye(n))
+            chol = np.linalg.cholesky(k + np.eye(n))
             assert np.all(np.diagonal(chol) >= 1.0 - 1e-12)
-
-
-class TestKernelMatrixValidation:
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValidationError, match="symmetric"):
-            KernelMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
-
-    def test_rejects_bad_diagonal(self):
-        with pytest.raises(ValidationError, match="diagonal"):
-            KernelMatrix(np.array([[2.0, 0.0], [0.0, 2.0]]))
-
-    def test_rejects_indefinite(self):
-        # symmetric with unit diagonal, but L + I has eigenvalue 1 - 3 + 1 = -1
-        with pytest.raises(ValidationError, match="semi-definite"):
-            KernelMatrix(np.array([[1.0, -3.0], [-3.0, 1.0]]))
 
 
 class TestLogDetRegularized:
@@ -114,20 +97,20 @@ class TestLogDetRegularized:
         k = build_kernel(
             EmbeddingSet([Embedding("a", [1, 0, 0]), Embedding("b", [0, 1, 0]), Embedding("c", [0, 0, 1])])
         )
-        np.testing.assert_allclose(log_det_regularized(k), 3 * math.log(2), atol=1e-12)
+        np.testing.assert_allclose(logdet_regularized_gram(k), 3 * math.log(2), atol=1e-12)
 
     def test_duplicate_pair(self):
         x = [1.0, 0.0]
         k = build_kernel(EmbeddingSet([Embedding("a", x), Embedding("b", x)]))
-        np.testing.assert_allclose(log_det_regularized(k), math.log(3), atol=1e-12)
+        np.testing.assert_allclose(logdet_regularized_gram(k), math.log(3), atol=1e-12)
 
     def test_matches_cofactor_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             n, d = int(rng.integers(1, 7)), int(rng.integers(1, 9))
             k = build_kernel(unit_set(rng, n, d))
-            oracle = math.log(det_by_cofactor(k.entries + np.eye(n)))
-            np.testing.assert_allclose(log_det_regularized(k), oracle, atol=1e-9)
+            oracle = math.log(det_by_cofactor(k + np.eye(n)))
+            np.testing.assert_allclose(logdet_regularized_gram(k), oracle, atol=1e-9)
 
     def test_monotone_in_subsets(self):
         rng = np.random.default_rng(23)
@@ -137,34 +120,25 @@ class TestLogDetRegularized:
             size_a = int(rng.integers(0, n))
             subset_b = sorted(rng.choice(n, size=int(rng.integers(size_a + 1, n + 1)), replace=False).tolist())
             subset_a = sorted(rng.choice(subset_b, size=size_a, replace=False).tolist())
-            ld_a = log_det_regularized(principal_submatrix(k, subset_a))
-            ld_b = log_det_regularized(principal_submatrix(k, subset_b))
+            ld_a = logdet_regularized_gram(k[np.ix_(subset_a, subset_a)])
+            ld_b = logdet_regularized_gram(k[np.ix_(subset_b, subset_b)])
             assert ld_a <= ld_b + 1e-12
 
 
 class TestPrincipalSubmatrix:
+    """A subset's kernel is the matching block of its pool's kernel, the
+    identity exhaustive search scores every subset by."""
+
     def test_corner_selection(self):
-        rng = np.random.default_rng(2)
-        k = build_kernel(unit_set(rng, 3, 4))
-        sub = principal_submatrix(k, [0, 2])
-        np.testing.assert_array_equal(sub.entries, k.entries[np.ix_([0, 2], [0, 2])])
+        s = unit_set(np.random.default_rng(2), 3, 4)
+        block = build_kernel(s)[np.ix_([0, 2], [0, 2])]
+        np.testing.assert_allclose(block, build_kernel(EmbeddingSet([s[0], s[2]])), atol=1e-15)
 
     def test_empty_indices(self):
-        rng = np.random.default_rng(2)
-        k = build_kernel(unit_set(rng, 3, 4))
-        assert principal_submatrix(k, []).n == 0
-
-    def test_duplicate_index_rejected(self):
-        rng = np.random.default_rng(2)
-        k = build_kernel(unit_set(rng, 3, 4))
-        with pytest.raises(ValidationError, match="duplicate"):
-            principal_submatrix(k, [1, 1])
-
-    def test_out_of_range_rejected(self):
-        rng = np.random.default_rng(2)
-        k = build_kernel(unit_set(rng, 3, 4))
-        with pytest.raises(ValidationError, match="out of range"):
-            principal_submatrix(k, [0, 3])
+        k = build_kernel(unit_set(np.random.default_rng(2), 3, 4))
+        block = k[np.ix_((), ())]
+        assert block.shape == (0, 0)
+        assert logdet_regularized_gram(block) == 0.0
 
 
 def counting(monkeypatch, name):
@@ -192,18 +166,13 @@ class TestValidationCost:
         assert len(cholesky_calls) == 1
 
     def test_build_kernel_does_not_factor(self, cholesky_calls):
-        k = build_kernel(unit_set(np.random.default_rng(1), 5, 4))
-        principal_submatrix(k, [0, 2, 4])
+        build_kernel(unit_set(np.random.default_rng(1), 5, 4))
         assert cholesky_calls == []
 
     def test_metric_report_does_not_factor(self, cholesky_calls):
         rng = np.random.default_rng(2)
         metric_report(unit_set(rng, 6, 4), Embedding("q", random_unit_rows(rng, 1, 4)[0]))
         assert cholesky_calls == []
-
-    def test_caller_built_kernel_still_factors(self, cholesky_calls):
-        KernelMatrix(np.eye(3))
-        assert len(cholesky_calls) == 1
 
 
 class TestRepeatedWork:

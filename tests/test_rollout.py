@@ -1,9 +1,12 @@
 """Autoregressive rollouts, greedy selection, and the exhaustive oracle."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divset import (
     Embedding,
@@ -17,6 +20,7 @@ from divset import (
     rollout_policy,
     train,
 )
+from divset.kernel import logdet_regularized_gram, unit_gram
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -116,7 +120,7 @@ class TestRolloutPolicy:
         e = np.eye(4)
         vocab = EmbeddingSet([Embedding(n, e[i]) for i, n in enumerate(["d", "b", "a", "c"])])
         query = Embedding("q", e[0])
-        result = rollout_policy(ToyPolicy(vocab, [0.0, 0.0, 0.0]), query, k=2, mode="greedy-prob")
+        result = rollout_policy(ToyPolicy(vocab, [0.0, 0.0]), query, k=2, mode="greedy-prob")
         assert result.selected.ids()[0] == "a"
 
     def test_trained_policy_rolls_out_diversely(self):
@@ -195,6 +199,52 @@ class TestGreedySelect:
         result = greedy_select(oracle_pool(), Embedding("q", np.eye(3)[0]), k=3, lambda_div=1.0, lambda_rel=0.0)
         assert sorted(result.selected.ids()) == ["a", "b", "c"]
         np.testing.assert_allclose(result.final_diversity, 3 * LN2, atol=1e-12)
+
+
+def per_subset_brute_force(pool, k):
+    """Exhaustive search that stacks each subset's vectors and builds that
+    subset's own Gram; ties go to the smallest id tuple (strict >)."""
+    items = sorted(pool, key=lambda item: item.id)
+    vectors = np.stack([item.vector for item in items]) if items else np.zeros((0, 0))
+    best_subset, best_score = (), -np.inf
+    for subset in itertools.combinations(range(len(items)), k):
+        score = logdet_regularized_gram(unit_gram(vectors[list(subset)])) if subset else 0.0
+        if score > best_score:
+            best_subset, best_score = subset, score
+    return [items[i].id for i in best_subset], float(best_score)
+
+
+@st.composite
+def pools_with_duplicates(draw):
+    """Up to 8 rows (so n <= d and n > d both occur) drawn from at most 4
+    distinct unit vectors, so duplicate rows and exactly tied subsets are
+    common; k is 0, n or anything between."""
+    d = draw(st.integers(1, 5))
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+    vector = coords.map(np.array).filter(lambda v: np.linalg.norm(v) > 0.1)
+    distinct = draw(st.lists(vector, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=8))
+    units = [v / np.linalg.norm(v) for v in distinct]
+    pool = EmbeddingSet([Embedding(f"p{i}", units[j]) for i, j in enumerate(picks)])
+    k = draw(st.one_of(st.just(0), st.just(len(pool)), st.integers(0, len(pool))))
+    return pool, k
+
+
+class TestBruteForceOracle:
+    """Scoring every subset as a block of the one pool Gram picks exactly the
+    subset the per-subset Grams pick."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pools_with_duplicates())
+    @example((oracle_pool(), 0))
+    @example((oracle_pool(), 4))
+    @example((oracle_pool(), 2))
+    def test_matches_per_subset_oracle(self, case):
+        pool, k = case
+        subset, score = brute_force_select(pool, k)
+        expected_ids, expected_score = per_subset_brute_force(pool, k)
+        assert subset.ids() == expected_ids
+        assert abs(score - expected_score) <= 1e-12
 
 
 class TestBruteForceSelect:
