@@ -146,7 +146,13 @@ def load_embeddings(path: str | Path) -> EmbeddingSet:
                 raise ValidationError(f"{path}: line {lineno}: 'meta' must map strings to strings")
             if not isinstance(record["id"], str):
                 raise ValidationError(f"{path}: line {lineno}: 'id' must be a string")
-            items.append(Embedding(record["id"], record["vector"], meta))
+            vector = record["vector"]
+            # numpy would read true/false as 1/0. Only a line that spells one can hold one,
+            # and a line with no "u" and no "a" (a memchr each) spells neither.
+            spelled = ("u" in line or "a" in line) and ("true" in line or "false" in line)
+            if spelled and isinstance(vector, list) and any(isinstance(x, bool) for x in vector):
+                raise ValidationError(f"{path}: line {lineno}: 'vector' must hold numbers, not booleans")
+            items.append(Embedding(record["id"], vector, meta))
     return EmbeddingSet(items)
 
 

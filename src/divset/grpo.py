@@ -83,6 +83,10 @@ class ToyPolicy:
 
 def context_features(policy: ToyPolicy, query: Embedding, ref: ReferenceSet) -> np.ndarray:
     """Per-candidate feature rows [cos to query, max cos to ref member]."""
+    if query.dim != policy.vocabulary.dim:
+        raise ValidationError(
+            f"query has dimension {query.dim}, policy vocabulary has {policy.vocabulary.dim}"
+        )
     V = policy.vocabulary.matrix()
     f = np.zeros((len(policy.vocabulary), N_FEATURES))
     f[:, 0] = V @ query.vector
@@ -108,18 +112,13 @@ class CandidateGroup:
     """One group of sampled candidates with rewards and advantages."""
 
     indices: np.ndarray
-    items: list[Embedding]
-    old_log_probs: np.ndarray
     rewards: np.ndarray | None = None
     advantages: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.indices = np.asarray(self.indices, dtype=int)
-        self.old_log_probs = np.asarray(self.old_log_probs, dtype=float)
         if self.group_size < 2:
             raise ValidationError(f"group size must be at least 2, got {self.group_size}")
-        if len(self.items) != self.group_size or self.old_log_probs.shape != (self.group_size,):
-            raise ValidationError("group fields must all have length G")
 
     @property
     def group_size(self) -> int:
@@ -133,24 +132,16 @@ def sample_group(
     group_size: int,
     rng_seed: int,
 ) -> CandidateGroup:
-    """Draw G candidates i.i.d. (with replacement) from the policy.
-
-    Deterministic for a fixed seed; log-probabilities under the sampling
-    policy are recorded at draw time.
-    """
-    return _draw_group(policy.vocabulary, policy_probs(policy, query, ref), group_size, rng_seed)
+    """Draw G vocabulary indices i.i.d. (with replacement) from the policy;
+    deterministic for a fixed seed."""
+    return _draw_group(policy_probs(policy, query, ref), group_size, rng_seed)
 
 
-def _draw_group(vocabulary: EmbeddingSet, probs: np.ndarray, group_size: int, rng_seed: int):
+def _draw_group(probs: np.ndarray, group_size: int, rng_seed: int) -> CandidateGroup:
     if group_size < 2:
         raise ValidationError(f"group size must be at least 2, got {group_size}")
     rng = np.random.default_rng(rng_seed)
-    indices = rng.choice(len(probs), size=group_size, replace=True, p=probs)
-    return CandidateGroup(
-        indices=indices,
-        items=[vocabulary[int(i)] for i in indices],
-        old_log_probs=np.log(probs[indices]),
-    )
+    return CandidateGroup(indices=rng.choice(len(probs), size=group_size, replace=True, p=probs))
 
 
 def compute_advantages(rewards) -> np.ndarray:
@@ -373,7 +364,7 @@ def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
         group_seed = int(rng.integers(0, 2**63))
         features = context_features(policy, task.query, ref)
         probs = _softmax(features, policy)
-        group = _draw_group(task.vocabulary, probs, config.group_size, group_seed)
+        group = _draw_group(probs, config.group_size, group_seed)
         group.rewards = ref.rewards(vocabulary[group.indices], config.lambda_div, config.lambda_rel)[2]
         group.advantages = compute_advantages(group.rewards)
         # one update per group: the old policy is the current one, so p_old = p_new

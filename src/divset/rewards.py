@@ -89,7 +89,9 @@ class ReferenceSet:
 
 @dataclass
 class RewardBreakdown:
-    """Per-candidate reward components and their weighted combination."""
+    """One candidate's reward components and their weighted combination: a
+    row of ReferenceSet.rewards, so the weights are checked and composite is
+    lambda_div * diversity_gain + lambda_rel * relevance by construction."""
 
     diversity_gain: float
     relevance: float
@@ -97,25 +99,8 @@ class RewardBreakdown:
     lambda_div: float
     lambda_rel: float
 
-    def __post_init__(self) -> None:
-        check_weights(self.lambda_div, self.lambda_rel)
-        expected = self.lambda_div * self.diversity_gain + self.lambda_rel * self.relevance
-        if abs(self.composite - expected) > 1e-12:
-            raise ValidationError(
-                f"composite {self.composite!r} does not equal "
-                f"lambda_div*gain + lambda_rel*relevance = {expected!r}"
-            )
-        if not -1.0 - 1e-9 <= self.relevance <= 1.0 + 1e-9:
-            raise ValidationError(f"relevance {self.relevance!r} outside [-1, 1]")
-
     def to_dict(self) -> dict:
-        return {
-            "diversity_gain": self.diversity_gain,
-            "relevance": self.relevance,
-            "composite": self.composite,
-            "lambda_div": self.lambda_div,
-            "lambda_rel": self.lambda_rel,
-        }
+        return dict(vars(self))
 
 
 def diversity_score(set_: EmbeddingSet) -> float:

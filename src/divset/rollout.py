@@ -1,16 +1,20 @@
-"""Autoregressive construction of diverse sets, plus selection oracles.
+"""Diverse sets grown one item at a time, plus an exhaustive oracle.
 
-The policy rollout starts from an empty reference set and grows it one
-candidate at a time, re-conditioning the policy on the partial set so that
-each step is scored relative to what has already been selected. Greedy and
-exhaustive selectors over a fixed pool embody the same objective and serve
-as deterministic baselines and test oracles.
+A set is grown by one step loop, the greedy MAP loop for determinantal
+objectives (Chen, Zhang & Zhou, arXiv:1709.05135): each step scores every candidate against the partial set with
+one call of the array reward evaluator, a choice rule names one candidate
+not yet taken, that candidate's row of the evaluator is recorded as the
+step's reward, and the candidate joins the set. The policy rollout chooses
+by the policy, re-conditioned on the partial set; greedy selection chooses
+the largest composite reward. Exhaustive search over a fixed pool embodies
+the same objective and serves as a deterministic baseline and test oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,19 +23,17 @@ from .embeddings import Embedding, EmbeddingSet
 from .errors import NumericalError, ValidationError
 from .grpo import ToyPolicy, policy_probs
 from .kernel import build_kernel, logdet_regularized_gram, require_unit_rows
-from .rewards import (
-    DEFAULT_LAMBDA_DIV,
-    DEFAULT_LAMBDA_REL,
-    ReferenceSet,
-    RewardBreakdown,
-    composite_reward,
-    diversity_score,
-)
+from .rewards import DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL, ReferenceSet, RewardBreakdown, diversity_score
+# unused here, kept for the trace target divset.rollout.composite_reward in bench/spans.py
+from .rewards import composite_reward  # noqa: F401
 
 ROLLOUT_MODES = ("sample", "greedy-prob")
 
 # Exhaustive search refuses instances with more candidate subsets than this.
 BRUTE_FORCE_BUDGET = 1_000_000
+
+# Exhaustive-search scores this close are ties, which go to the smaller id tuple.
+BRUTE_FORCE_TIE_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -48,6 +50,39 @@ class RolloutResult:
             "per_step": [step.to_dict() for step in self.per_step],
             "final_diversity": self.final_diversity,
         }
+
+
+def _grow(
+    items: EmbeddingSet,
+    query: Embedding,
+    k: int,
+    lambda_div: float,
+    lambda_rel: float,
+    choose: Callable[[ReferenceSet, np.ndarray, np.ndarray], int],
+) -> RolloutResult:
+    """Grow a k-item set out of items, unit rows whose norms the caller checked.
+
+    Each step scores every item against the partial set, asks
+    choose(partial set, composite rewards, taken mask) for an untaken
+    index, records that index's reward row and adds the item to the set.
+    """
+    if len(items) and items.dim != query.dim:
+        raise ValidationError(f"candidates have dimension {items.dim}, query has {query.dim}")
+    ref = ReferenceSet.empty(query)
+    taken = np.zeros(len(items), dtype=bool)
+    order: list[int] = []
+    per_step: list[RewardBreakdown] = []
+
+    for _ in range(k):
+        values = np.array(ref.rewards(items.matrix(), lambda_div, lambda_rel))  # gain, relevance, composite
+        best = choose(ref, values[2], taken)
+        taken[best] = True
+        order.append(best)
+        per_step.append(RewardBreakdown(*values[:, best].tolist(), lambda_div, lambda_rel))
+        ref = ref.with_member(items[best])
+
+    chosen = EmbeddingSet([items[i] for i in order])
+    return RolloutResult(chosen, per_step, diversity_score(chosen))
 
 
 def rollout_policy(
@@ -77,30 +112,19 @@ def rollout_policy(
             f"vocabulary of size {len(policy.vocabulary)} exhausted before {k} selections"
         )
     rng = np.random.default_rng(seed)
-    ref = ReferenceSet.empty(query)
-    mask = np.zeros(len(policy.vocabulary), dtype=bool)
-    selected: list[Embedding] = []
-    per_step: list[RewardBreakdown] = []
 
-    for _ in range(k):
-        probs = np.where(mask, 0.0, policy_probs(policy, query, ref))
+    def choose(ref: ReferenceSet, composite: np.ndarray, taken: np.ndarray) -> int:
+        probs = np.where(taken, 0.0, policy_probs(policy, query, ref))
         total = probs.sum()
         if total <= 0.0:
             raise NumericalError("all unselected candidates have zero probability")
         probs = probs / total
         if mode == "sample":
-            choice = int(rng.choice(len(probs), p=probs))
-        else:
-            best = np.flatnonzero(probs == probs.max())
-            choice = int(min(best, key=lambda i: policy.vocabulary[int(i)].id))
-        item = policy.vocabulary[choice]
-        per_step.append(composite_reward(item, ref, lambda_div, lambda_rel))
-        selected.append(item)
-        mask[choice] = True
-        ref = ref.with_member(item)
+            return int(rng.choice(len(probs), p=probs))
+        best = np.flatnonzero(probs == probs.max())
+        return int(min(best, key=lambda i: policy.vocabulary[int(i)].id))
 
-    chosen = EmbeddingSet(selected)
-    return RolloutResult(chosen, per_step, diversity_score(chosen))
+    return _grow(policy.vocabulary, query, k, lambda_div, lambda_rel, choose)
 
 
 def greedy_select(
@@ -114,31 +138,21 @@ def greedy_select(
     partial selection; ties go to the lowest id."""
     if k < 0 or k > len(pool):
         raise ValidationError(f"k must lie in [0, {len(pool)}], got {k}")
-    if len(pool) and pool.dim != query.dim:
-        raise ValidationError(f"pool has dimension {pool.dim}, query has {query.dim}")
     items = EmbeddingSet(sorted(pool, key=lambda item: item.id))
     require_unit_rows(items)
-    ref = ReferenceSet.empty(query)
-    order: list[int] = []
-    per_step: list[RewardBreakdown] = []
 
-    for _ in range(k):
-        values = np.array(ref.rewards(items.matrix(), lambda_div, lambda_rel))  # gain, relevance, composite
-        values[2, order] = -np.inf  # already taken
-        best = int(np.argmax(values[2]))  # the first maximum: the lowest id
-        order.append(best)
-        per_step.append(RewardBreakdown(*values[:, best].tolist(), lambda_div, lambda_rel))
-        ref = ref.with_member(items[best])
+    def choose(ref: ReferenceSet, composite: np.ndarray, taken: np.ndarray) -> int:
+        return int(np.argmax(np.where(taken, -np.inf, composite)))  # the first maximum: the lowest id
 
-    chosen = EmbeddingSet([items[i] for i in order])
-    return RolloutResult(chosen, per_step, diversity_score(chosen))
+    return _grow(items, query, k, lambda_div, lambda_rel, choose)
 
 
 def brute_force_select(pool: EmbeddingSet, k: int) -> tuple[EmbeddingSet, float]:
     """Exhaustively maximize the diversity score over all size-k subsets.
 
-    Ties break to the lexicographically smallest id tuple. Refuses
-    instances whose subset count exceeds BRUTE_FORCE_BUDGET.
+    Scores within BRUTE_FORCE_TIE_TOL of each other tie, and ties break to
+    the lexicographically smallest id tuple. Refuses instances whose subset
+    count exceeds BRUTE_FORCE_BUDGET.
     """
     if k < 0 or k > len(pool):
         raise ValidationError(f"k must lie in [0, {len(pool)}], got {k}")
@@ -152,8 +166,10 @@ def brute_force_select(pool: EmbeddingSet, k: int) -> tuple[EmbeddingSet, float]
 
     best_subset: tuple[int, ...] = ()
     best_score = -np.inf
+    # subsets come in id-tuple order; a block of the pool Gram can round a
+    # duplicate-swapped tie either way, so only a clear win replaces the best
     for subset in itertools.combinations(range(len(items)), k):
         score = logdet_regularized_gram(gram[np.ix_(subset, subset)])
-        if score > best_score:
+        if score > best_score + BRUTE_FORCE_TIE_TOL:
             best_subset, best_score = subset, score
     return EmbeddingSet([items[i] for i in best_subset]), float(best_score)

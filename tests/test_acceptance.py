@@ -203,8 +203,6 @@ def test_criterion_5_surrogate_gradient_check():
             )
             group2 = CandidateGroup(
                 indices=np.array([0, 0]),
-                items=[vocab2[0], vocab2[0]],
-                old_log_probs=np.log(np.array([0.5, 0.5])),
                 advantages=np.array([advantage, advantage]),
             )
             value = surrogate_objective(new2, old2, old2, group2, q2, ref2, 0.2, 0.0)

@@ -204,6 +204,13 @@ class TestEval:
         expected = float(np.exp(-(np.array([0.5, 0.25, 0.25]) * np.log([0.5, 0.25, 0.25])).sum()))
         assert metrics["vendi"] == pytest.approx(expected, abs=1e-9)
 
+    def test_boolean_vector_entries_exit_2_naming_line(self, tmp_path, capsys):
+        # JSON true/false are not numbers, though numpy would read them as 1/0
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a", "vector": [0.0, 1.0]}\n{"id": "q", "vector": [true, false]}\n')
+        assert main(["eval", "--embeddings", str(path), "--query-id", "q"]) == 2
+        assert "line 2: 'vector' must hold numbers, not booleans" in capsys.readouterr().err
+
     def test_top_m_out_of_range_exits_2(self, oracle_file):
         assert (
             main(

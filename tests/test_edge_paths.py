@@ -43,8 +43,6 @@ class TestNumericalErrorPaths:
         new = ToyPolicy(vocab)
         group = CandidateGroup(
             indices=np.array([2, 0]),
-            items=[vocab[2], vocab[0]],
-            old_log_probs=np.array([-800.0, -1.0]),
             advantages=np.array([1.0, -1.0]),
         )
         with pytest.raises(NumericalError, match="zero probability"):

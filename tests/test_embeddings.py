@@ -171,3 +171,11 @@ class TestJsonLines:
         path.write_text('{"id": "a", "vector": [1]}\n{"id": "b", "vector": %s}\n' % vector)
         with pytest.raises(ValidationError, match="'b': vector must be an array of numbers"):
             load_embeddings(path)
+
+    def test_true_and_false_outside_the_vector_load(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "true", "vector": [0.6, 0.8], "meta": {"false": "true"}}\n')
+        assert load_embeddings(path)[0].vector.tolist() == [0.6, 0.8]
+        path.write_text('{"id": "b", "vector": 5, "meta": {"flag": "true"}}\n')
+        with pytest.raises(ValidationError, match="'b': vector must be one-dimensional"):
+            load_embeddings(path)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from divset import (
+    CandidateGroup,
     Embedding,
     EmbeddingSet,
     GrpoConfig,
@@ -17,6 +18,7 @@ from divset import (
     compute_advantages,
     composite_reward,
     policy_probs,
+    rollout_policy,
     sample_group,
     surrogate_gradient,
     surrogate_objective,
@@ -77,6 +79,26 @@ class TestPolicyProbs:
         np.testing.assert_array_equal(f[:, 1], 0.0)
 
 
+GROUP = CandidateGroup(indices=np.array([0, 1]), advantages=np.array([1.0, -1.0]))
+QUERY_ENTRY_POINTS = {
+    "policy_probs": policy_probs,
+    "sample_group": lambda policy, query, ref: sample_group(policy, query, ref, 4, rng_seed=0),
+    "surrogate_objective": lambda p, query, ref: surrogate_objective(p, p, p, GROUP, query, ref, 0.2, 0.04),
+    "surrogate_gradient": lambda p, query, ref: surrogate_gradient(p, p, p, GROUP, query, ref, 0.2, 0.04),
+    "rollout_policy": lambda policy, query, ref: rollout_policy(policy, query, k=2),
+}
+
+
+@pytest.mark.parametrize("entry", QUERY_ENTRY_POINTS)
+def test_wrong_dimension_query_rejected_naming_both(entry):
+    rng, vocab, _, _ = make_context()  # vocabulary of dimension 6
+    query = Embedding("q", rand_unit(rng, 4))
+    ref = ReferenceSet(unit_set(rng, 2, 4, "g"), query)
+    with pytest.raises(ValidationError, match="dimension") as excinfo:
+        QUERY_ENTRY_POINTS[entry](ToyPolicy(vocab), query, ref)
+    assert "4" in str(excinfo.value) and "6" in str(excinfo.value)
+
+
 class TestSampleGroup:
     def test_deterministic_for_fixed_seed(self):
         _, vocab, query, ref = make_context()
@@ -84,7 +106,6 @@ class TestSampleGroup:
         a = sample_group(policy, query, ref, 4, rng_seed=99)
         b = sample_group(policy, query, ref, 4, rng_seed=99)
         np.testing.assert_array_equal(a.indices, b.indices)
-        np.testing.assert_array_equal(a.old_log_probs, b.old_log_probs)
 
     def test_point_mass_policy(self):
         _, vocab, query, ref = make_context()
@@ -105,13 +126,6 @@ class TestSampleGroup:
         _, vocab, query, ref = make_context()
         with pytest.raises(ValidationError, match="at least 2"):
             sample_group(ToyPolicy(vocab), query, ref, 1, rng_seed=0)
-
-    def test_old_log_probs_match_distribution(self):
-        rng, vocab, query, ref = make_context(5)
-        policy = ToyPolicy(vocab, rng.normal(0, 1, 2), rng.normal(0, 1, len(vocab)))
-        probs = policy_probs(policy, query, ref)
-        group = sample_group(policy, query, ref, 16, rng_seed=2)
-        np.testing.assert_allclose(group.old_log_probs, np.log(probs[group.indices]), atol=1e-15)
 
 
 class TestComputeAdvantages:
@@ -358,8 +372,9 @@ def reference_train(config, task):
         group_seed = int(rng.integers(0, 2**63))
         old = policy.copy()
         group = sample_group(old, task.query, ref, config.group_size, group_seed)
+        items = [task.vocabulary[int(i)] for i in group.indices]
         group.rewards = np.array(
-            [composite_reward(item, ref, config.lambda_div, config.lambda_rel).composite for item in group.items]
+            [composite_reward(item, ref, config.lambda_div, config.lambda_rel).composite for item in items]
         )
         group.advantages = compute_advantages(group.rewards)
         args = (policy, old, ref_policy, group, task.query, ref, config.clip_epsilon, config.kl_beta)

@@ -4,7 +4,8 @@
 members' Cholesky factor. The oracles here are the slow direct forms: the
 gain as the difference of two regularized log-volumes of stacked sets,
 relevance as the query cosine times the mean of the member cosines, and
-greedy selection as a loop that scores one candidate at a time.
+greedy selection and the policy rollout as loops that score one candidate
+at a time.
 """
 
 import numpy as np
@@ -14,11 +15,14 @@ from divset import (
     Embedding,
     EmbeddingSet,
     ReferenceSet,
+    ToyPolicy,
     composite_reward,
     diversity_score,
     greedy_select,
     marginal_gain,
+    policy_probs,
     relevance,
+    rollout_policy,
 )
 
 TOL = 1e-12
@@ -63,6 +67,31 @@ def per_candidate_greedy(pool: EmbeddingSet, query: Embedding, k: int, lambda_di
         members.append(remaining.pop(best_pos))
         composites.append(best)
     return [m.id for m in members], composites
+
+
+def per_pick_rollout(policy, query, k, mode, seed, lambda_div, lambda_rel):
+    """The policy rollout one pick at a time: the masked policy distribution
+    picks, composite_reward scores the pick against the partial set, and the
+    pick joins it."""
+    rng = np.random.default_rng(seed)
+    ref = ReferenceSet.empty(query)
+    mask = np.zeros(len(policy.vocabulary), dtype=bool)
+    selected, per_step = [], []
+    for _ in range(k):
+        probs = np.where(mask, 0.0, policy_probs(policy, query, ref))
+        probs = probs / probs.sum()
+        if mode == "sample":
+            choice = int(rng.choice(len(probs), p=probs))
+        else:
+            best = np.flatnonzero(probs == probs.max())
+            choice = int(min(best, key=lambda i: policy.vocabulary[int(i)].id))
+        item = policy.vocabulary[choice]
+        per_step.append(composite_reward(item, ref, lambda_div, lambda_rel).to_dict())
+        selected.append(item)
+        mask[choice] = True
+        ref = ref.with_member(item)
+    chosen = EmbeddingSet(selected)
+    return chosen.ids(), per_step, diversity_score(chosen)
 
 
 def random_case(seed):
@@ -144,3 +173,26 @@ def test_greedy_ties_go_to_lowest_id(lambda_div, lambda_rel):
     result = greedy_select(pool, query, 6, lambda_div, lambda_rel)
     assert result.selected.ids() == per_candidate_greedy(pool, query, 6, lambda_div, lambda_rel)[0]
     assert int(result.selected.ids()[0][1:]) % 2 == 0
+
+
+@pytest.mark.parametrize("mode", ["sample", "greedy-prob"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rollout_matches_per_pick_loop(seed, mode):
+    rng = np.random.default_rng(2000 + seed)
+    d = int(rng.integers(2, 65))
+    rows = unit_rows(rng, 20, d)
+    copies = rng.integers(0, 20, 6)
+    rows = np.vstack([rows, rows[copies]])  # six duplicate vectors
+    # shuffled ids, so vocabulary order is not id order
+    vocab = EmbeddingSet([Embedding(f"v{j:03d}", row) for j, row in zip(rng.permutation(len(rows)), rows)])
+    bias = rng.normal(0.0, 1.0, 20)
+    # a duplicate shares its original's bias, so greedy-prob meets exact ties
+    policy = ToyPolicy(vocab, rng.normal(0.0, 2.0, 2), np.concatenate([bias, bias[copies]]))
+    query = Embedding("q", unit_rows(rng, 1, d)[0])
+    k = int(rng.integers(1, 17))
+    lambda_div, lambda_rel = (float(x) for x in rng.uniform(0.0, 1.0, 2))
+    result = rollout_policy(policy, query, k, mode, seed, lambda_div, lambda_rel)
+    ids, per_step, final_diversity = per_pick_rollout(policy, query, k, mode, seed, lambda_div, lambda_rel)
+    assert result.selected.ids() == ids
+    assert [step.to_dict() for step in result.per_step] == per_step
+    assert result.final_diversity == final_diversity

@@ -9,7 +9,6 @@ from divset import (
     Embedding,
     EmbeddingSet,
     ReferenceSet,
-    RewardBreakdown,
     ValidationError,
     composite_reward,
     diversity_score,
@@ -142,11 +141,20 @@ class TestRelevance:
 
 class TestCompositeReward:
     def test_breakdown_arithmetic(self):
-        # the weighted-sum contract of the breakdown type itself
-        b = RewardBreakdown(0.69314718, 0.48, 0.58657359, 0.5, 0.5)
-        assert b.composite == 0.58657359
-        with pytest.raises(ValidationError, match="composite"):
-            RewardBreakdown(0.69314718, 0.48, 0.6, 0.5, 0.5)
+        # a breakdown is a row of the evaluator: the weighted sum holds by construction
+        rng = np.random.default_rng(44)
+        q = Embedding("q", rand_unit(rng, 5))
+        ref = ReferenceSet(unit_set(rng, 3, 5, "m"), q)
+        b = composite_reward(Embedding("x", rand_unit(rng, 5)), ref, 0.3, 0.7)
+        assert abs(b.composite - (0.3 * b.diversity_gain + 0.7 * b.relevance)) <= 1e-12
+        assert b.to_dict() == {
+            "diversity_gain": b.diversity_gain,
+            "relevance": b.relevance,
+            "composite": b.composite,
+            "lambda_div": 0.3,
+            "lambda_rel": 0.7,
+        }
+        assert list(b.to_dict()) == ["diversity_gain", "relevance", "composite", "lambda_div", "lambda_rel"]
 
     def test_diversity_only(self):
         rng = np.random.default_rng(43)

@@ -21,6 +21,7 @@ from divset import (
     train,
 )
 from divset.kernel import logdet_regularized_gram, unit_gram
+from divset.rollout import BRUTE_FORCE_TIE_TOL
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -203,13 +204,14 @@ class TestGreedySelect:
 
 def per_subset_brute_force(pool, k):
     """Exhaustive search that stacks each subset's vectors and builds that
-    subset's own Gram; ties go to the smallest id tuple (strict >)."""
+    subset's own Gram; scores within BRUTE_FORCE_TIE_TOL tie, and ties go to
+    the smallest id tuple."""
     items = sorted(pool, key=lambda item: item.id)
     vectors = np.stack([item.vector for item in items]) if items else np.zeros((0, 0))
     best_subset, best_score = (), -np.inf
     for subset in itertools.combinations(range(len(items)), k):
         score = logdet_regularized_gram(unit_gram(vectors[list(subset)])) if subset else 0.0
-        if score > best_score:
+        if score > best_score + BRUTE_FORCE_TIE_TOL:
             best_subset, best_score = subset, score
     return [items[i].id for i in best_subset], float(best_score)
 
@@ -245,6 +247,36 @@ class TestBruteForceOracle:
         expected_ids, expected_score = per_subset_brute_force(pool, k)
         assert subset.ids() == expected_ids
         assert abs(score - expected_score) <= 1e-12
+
+
+def first_within_tie_tol(pool, k):
+    """Score every subset on its own Gram, then take the first subset in id
+    order whose score is within 1e-9 of the best, as bench/oracle.py does."""
+    items = sorted(pool, key=lambda item: item.id)
+    vectors = np.stack([item.vector for item in items])
+    subsets = list(itertools.combinations(range(len(items)), k))
+    scores = np.array([logdet_regularized_gram(unit_gram(vectors[list(s)])) for s in subsets])
+    best = int(np.flatnonzero(scores >= scores.max() - 1e-9)[0])
+    return [items[i].id for i in subsets[best]], float(scores[best])
+
+
+def test_ties_on_large_duplicate_pools_go_to_smallest_ids():
+    # from about 12 items a subset's block of the pool Gram need not be
+    # bitwise its own Gram, so subsets that swap duplicates differ by rounding
+    mismatches = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 7))
+        distinct = unit_set(rng, 4, d).matrix()
+        n = int(rng.integers(12, 15))
+        rows = distinct[rng.integers(0, 4, n)]
+        pool = EmbeddingSet([Embedding(f"p{j:02d}", row) for j, row in zip(rng.permutation(n), rows)])
+        k = int(rng.integers(2, 5))
+        subset, score = brute_force_select(pool, k)
+        expected_ids, expected_score = first_within_tie_tol(pool, k)
+        if subset.ids() != expected_ids or abs(score - expected_score) > 1e-12:
+            mismatches.append(seed)
+    assert mismatches == []
 
 
 class TestBruteForceSelect:
