@@ -109,13 +109,14 @@ class EmbeddingSet:
     def matrix(self) -> np.ndarray:
         """Stack vectors into an (n, d) array; empty set gives shape (0, 0).
 
-        The returned array is shared across calls and must not be written to.
+        The returned array is shared across calls and is read-only.
         """
         if self._matrix is None:
             if self.items:
                 self._matrix = np.stack([item.vector for item in self.items])
             else:
                 self._matrix = np.zeros((0, 0))
+            self._matrix.flags.writeable = False
         return self._matrix
 
 

@@ -12,6 +12,10 @@ from the current policy, score each with the composite diversity-plus-relevance
 reward against the current reference context, normalize rewards into
 advantages within the group, and ascend the surrogate gradient. Everything
 is deterministic given the config seed.
+
+A context is a subset of the exemplar pool, so contexts recur: train builds
+each distinct one's reference set and features once, in a table bounded by
+CONTEXT_TABLE_FLOATS.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ N_FEATURES = 2
 
 # Rewards with spread below this are treated as constant (zero advantages).
 ZERO_STD_TOL = 1e-12
+
+# Floats (16 MiB) that train's context table may hold; a new context that would
+# pass it is built for its iteration and not stored.
+CONTEXT_TABLE_FLOATS = 2**21
 
 
 @dataclass(eq=False)
@@ -325,15 +333,13 @@ class TrainingTask:
                 )
 
 
-def _iteration_context(task: TrainingTask, rng: np.random.Generator) -> ReferenceSet:
+def _iteration_context(task: TrainingTask, rng: np.random.Generator) -> tuple[int, ...]:
+    """The sorted exemplar indices of one iteration's context."""
     if task.context_sizes is None:
-        members = task.exemplars
-    else:
-        lo, hi = task.context_sizes
-        size = int(rng.integers(lo, hi + 1))
-        chosen = sorted(rng.choice(len(task.exemplars), size=size, replace=False).tolist())
-        members = EmbeddingSet([task.exemplars[i] for i in chosen])
-    return ReferenceSet(members, task.query)
+        return tuple(range(len(task.exemplars)))
+    lo, hi = task.context_sizes
+    size = int(rng.integers(lo, hi + 1))
+    return tuple(sorted(rng.choice(len(task.exemplars), size=size, replace=False).tolist()))
 
 
 def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
@@ -348,6 +354,11 @@ def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
     sampling policy is the current one, so every ratio is exactly 1 and
     clip_epsilon does not change the result.
 
+    Each distinct context (its sorted exemplar indices) gets its ReferenceSet
+    and feature matrix built once and kept in a table of at most
+    CONTEXT_TABLE_FLOATS floats; past that a new context is built, used and
+    dropped. Features do not depend on the parameters, so no result changes.
+
     Log records carry iteration, objective, mean_reward, kl and
     policy_entropy. The whole run is deterministic given config.seed.
     """
@@ -358,11 +369,23 @@ def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
     p_ref = np.full(len(task.vocabulary), 1.0 / len(task.vocabulary))  # the all-zero reference policy
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     records: list[dict] = []
+    table: dict[tuple[int, ...], tuple[ReferenceSet, np.ndarray]] = {}
+    table_floats = 0
 
     for iteration in range(config.iterations):
-        ref = _iteration_context(task, rng)
+        key = _iteration_context(task, rng)
         group_seed = int(rng.integers(0, 2**63))
-        features = context_features(policy, task.query, ref)
+        if key in table:
+            ref, features = table[key]
+        else:
+            ref = ReferenceSet(EmbeddingSet([task.exemplars[i] for i in key]), task.query)
+            features = context_features(policy, task.query, ref)
+            features.flags.writeable = False
+            # the features plus the reference set's member matrix and its k + 2 basis rows
+            floats = features.size + (2 * len(key) + 2) * task.query.dim
+            if table_floats + floats <= CONTEXT_TABLE_FLOATS:
+                table[key] = ref, features
+                table_floats += floats
         probs = _softmax(features, policy)
         group = _draw_group(probs, config.group_size, group_seed)
         group.rewards = ref.rewards(vocabulary[group.indices], config.lambda_div, config.lambda_rel)[2]

@@ -80,6 +80,12 @@ class TestEmbeddingSet:
         s = EmbeddingSet([Embedding("a", [1, 0]), Embedding("b", [0, 1])])
         np.testing.assert_array_equal(s.matrix(), [[1, 0], [0, 1]])
 
+    def test_matrix_is_read_only(self):
+        s = EmbeddingSet([Embedding("a", [1.0, 0.0]), Embedding("b", [0.0, 1.0])])
+        with pytest.raises(ValueError):
+            s.matrix()[0, 0] = 2.0
+        np.testing.assert_array_equal(s.matrix(), [[1, 0], [0, 1]])
+
 
 class TestJsonLines:
     def test_load_two_records(self, tmp_path):

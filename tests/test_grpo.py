@@ -1,6 +1,7 @@
 """Policy distribution, group sampling, advantages, the clipped surrogate
 and its gradient, and the training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from divset import (
 )
 from divset import grpo
 from divset.grpo import context_features, exact_kl, policy_entropy, save_training_log
+from divset.simulation import DEFAULT_WORLD, make_world
 
 
 def rand_unit(rng, d):
@@ -397,22 +399,39 @@ def reference_train(config, task):
 
 
 class TestTrainMatchesReferenceLoop:
-    """train() evaluates each context once; it must equal the plain loop bit for bit."""
+    """train() builds each distinct context once; it must equal the plain loop bit for bit."""
 
-    @pytest.mark.parametrize("kl_beta, learning_rate", [(0.04, 0.01), (0.5, 0.3)])
-    def test_records_and_parameters_equal(self, kl_beta, learning_rate):
+    @pytest.mark.parametrize(
+        "n_exemplars, context_sizes, kl_beta, learning_rate, table_floats",
+        [
+            pytest.param(4, (0, 4), 0.04, 0.01, grpo.CONTEXT_TABLE_FLOATS, id="0.04-0.01"),
+            pytest.param(4, (0, 4), 0.5, 0.3, grpo.CONTEXT_TABLE_FLOATS, id="0.5-0.3"),
+            pytest.param(4, (4, 4), 0.5, 0.3, grpo.CONTEXT_TABLE_FLOATS, id="whole-pool"),
+            pytest.param(1, None, 0.5, 0.3, grpo.CONTEXT_TABLE_FLOATS, id="no-context-draw"),
+            pytest.param(4, (0, 4), 0.5, 0.3, 0, id="uncached"),
+        ],
+    )
+    def test_records_and_parameters_equal(
+        self, monkeypatch, n_exemplars, context_sizes, kl_beta, learning_rate, table_floats
+    ):
+        monkeypatch.setattr(grpo, "CONTEXT_TABLE_FLOATS", table_floats)
         rng = np.random.default_rng(21)
-        exemplars = unit_set(rng, 4, 8, "x")
-        task = toy_task(rng, exemplars=exemplars, context_sizes=(0, 4))
+        exemplars = unit_set(rng, n_exemplars, 8, "x")
+        task = toy_task(rng, exemplars=exemplars, context_sizes=context_sizes)
+        # reference_train always draws a context; on a one-exemplar pool (1, 1) draws
+        # nothing from the stream, so it is the oracle of train without context_sizes
+        oracle_task = task if context_sizes else dataclasses.replace(task, context_sizes=(1, 1))
         config = GrpoConfig(iterations=60, kl_beta=kl_beta, learning_rate=learning_rate, seed=9)
         policy, records = train(config, task)
-        expected_policy, expected_records = reference_train(config, task)
+        expected_policy, expected_records = reference_train(config, oracle_task)
         assert records == expected_records
         assert np.array_equal(policy.theta, expected_policy.theta)
         assert np.array_equal(policy.bias, expected_policy.bias)
         assert any(r["kl"] > 0.0 for r in records)
 
-    def test_context_features_at_most_twice_per_iteration(self, monkeypatch):
+    @staticmethod
+    def count_context_features(monkeypatch, config, task):
+        """context_features calls made by train, and the distinct contexts drawn on its seed."""
         calls = []
         real = grpo.context_features
 
@@ -421,9 +440,28 @@ class TestTrainMatchesReferenceLoop:
             return real(*args)
 
         monkeypatch.setattr(grpo, "context_features", counting)
-        task = toy_task(np.random.default_rng(22), exemplars=unit_set(np.random.default_rng(23), 3, 8, "x"))
-        train(GrpoConfig(iterations=20, seed=2), task)
-        assert len(calls) == 20  # once per iteration: sampling and the surrogate share it
+        train(config, task)
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+        keys = set()
+        for _ in range(config.iterations):
+            keys.add(grpo._iteration_context(task, rng))
+            rng.integers(0, 2**63)
+        return len(calls), len(keys)
+
+    def test_context_features_at_most_twice_per_iteration(self, monkeypatch):
+        task = toy_task(
+            np.random.default_rng(22),
+            exemplars=unit_set(np.random.default_rng(23), 3, 8, "x"),
+            context_sizes=(0, 3),
+        )
+        calls, contexts = self.count_context_features(monkeypatch, GrpoConfig(iterations=20, seed=2), task)
+        assert 1 < contexts < 20
+        assert calls == contexts  # once per distinct context
+
+    def test_default_world_builds_at_most_every_exemplar_subset(self, monkeypatch):
+        task = make_world(**DEFAULT_WORLD).training_task()
+        calls, contexts = self.count_context_features(monkeypatch, GrpoConfig(iterations=1200), task)
+        assert calls == contexts <= 2 ** DEFAULT_WORLD["n_modes"]
 
     def test_clip_epsilon_does_not_change_training(self):
         task = toy_task(np.random.default_rng(24))
