@@ -19,16 +19,18 @@ from pathlib import Path
 from .embeddings import Embedding, EmbeddingSet, load_embeddings
 from .errors import NumericalError, ValidationError, check_number
 from .grpo import GrpoConfig, save_training_log, train
-from .kernel import require_unit
+from .kernel import require_unit, require_unit_rows
 from .metrics import metric_report
 from .rewards import (
     DEFAULT_LAMBDA_DIV,
     DEFAULT_LAMBDA_REL,
     LAMBDA_ABLATION_GRID,
     ReferenceSet,
+    RewardBreakdown,
     check_weights,
-    composite_reward,
 )
+# unused here, kept for the trace target divset.cli.composite_reward in bench/spans.py
+from .rewards import composite_reward  # noqa: F401
 from .rollout import brute_force_select, greedy_select, rollout_policy
 from .simulation import (
     DEFAULT_K,
@@ -112,11 +114,24 @@ def _write_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
-def _out_path(out: str | None) -> Path | None:
-    """The --out path, rejected before any work when its directory is missing."""
+def _out_path(out: str | None, source: str | None) -> Path | None:
+    """An output path, rejected before any work when its directory is missing
+    or when it names the command's input file ``source``."""
     path = Path(out) if out else None
     if path and not path.parent.is_dir():
         raise ValidationError(f"cannot write {out}: directory {path.parent} does not exist")
+    if path and source and path.resolve() == Path(source).resolve():
+        raise ValidationError(f"cannot write {out}: it is the input file {source}")
+    return path
+
+
+def _out_dir(out: str) -> Path:
+    """The --out directory, rejected before any work when it, or the nearest
+    of its parents that exists, is not a directory."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"cannot write {out}: {existing} is not a directory")
     return path
 
 
@@ -127,24 +142,24 @@ def _load_query(embeddings: EmbeddingSet, query_id: str) -> Embedding:
 
 
 def cmd_score(args) -> int:
-    out = _out_path(args.out)
+    out = _out_path(args.out, args.embeddings)
     check_weights(args.lambda_div, args.lambda_rel)
     embeddings = load_embeddings(args.embeddings)
     query = _load_query(embeddings, args.query_id)
     ref_ids = args.ref_id or []
-    members = EmbeddingSet([embeddings.get(rid) for rid in ref_ids])
+    members = embeddings.take(embeddings.index(rid) for rid in ref_ids)
+    require_unit_rows(embeddings)
     ref = ReferenceSet(members, query)
+    # every row is scored, the reference rows too, so the stored matrix is not copied
+    values = ref.rewards(embeddings.matrix(), args.lambda_div, args.lambda_rel)
     excluded = set(ref_ids)
     rows = []
-    for item in embeddings:
-        if item.id in excluded:
+    for id_, gain, rel, composite in zip(embeddings.ids(), *(a.tolist() for a in values)):
+        if id_ in excluded:
             continue
-        breakdown = composite_reward(item, ref, args.lambda_div, args.lambda_rel)
-        rows.append({"id": item.id, **breakdown.to_dict()})
-        print(
-            f"{item.id}\tcomposite={breakdown.composite:.8f}\t"
-            f"diversity_gain={breakdown.diversity_gain:.8f}\trelevance={breakdown.relevance:.8f}"
-        )
+        breakdown = RewardBreakdown(gain, rel, composite, args.lambda_div, args.lambda_rel)
+        rows.append({"id": id_, **breakdown.to_dict()})
+        print(f"{id_}\tcomposite={composite:.8f}\tdiversity_gain={gain:.8f}\trelevance={rel:.8f}")
     report = {
         "command": "score",
         "config": {
@@ -162,13 +177,13 @@ def cmd_score(args) -> int:
 
 
 def cmd_select(args) -> int:
-    out = _out_path(args.out)
+    out = _out_path(args.out, args.embeddings)
     check_weights(args.lambda_div, args.lambda_rel)
-    embeddings = load_embeddings(args.embeddings)
-    query = _load_query(embeddings, args.query_id)
     if args.k < 1:
         raise ValidationError(f"--k must be at least 1, got {args.k}")
-    pool = EmbeddingSet([item for item in embeddings if item.id != args.query_id])
+    embeddings = load_embeddings(args.embeddings)
+    query = _load_query(embeddings, args.query_id)
+    pool = embeddings.take(i for i, id_ in enumerate(embeddings.ids()) if id_ != args.query_id)
     if args.mode == "greedy":
         result = greedy_select(pool, query, args.k, args.lambda_div, args.lambda_rel).to_report()
     else:
@@ -198,6 +213,7 @@ def cmd_train(args) -> int:
     world_params, world, grpo, k = _resolve_shared(config)
     rollout_mode = config["rollout_mode"]
     check_rollout(world, k, rollout_mode)
+    out = _out_dir(args.out)
     policy, records = train(grpo, world)
     rollout = rollout_policy(
         policy,
@@ -210,7 +226,6 @@ def cmd_train(args) -> int:
     )
     evaluation = metric_report(rollout.selected, world.query)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     resolved = {**config, "world": world_params, "grpo": grpo.to_dict(), "k": k}
     _write_json(resolved, out / "config.json")
@@ -239,10 +254,11 @@ def cmd_simulate(args) -> int:
     if not isinstance(seeds, list):
         raise ValidationError(f'config "seeds" must be a list of integers, got {seeds!r}')
     rollout_mode = config["rollout_mode"]
+    out = _out_dir(args.out)
+    csv_path = _out_path(args.csv, args.config)
 
     result = run_experiment(world, arms, k=k, seeds=seeds, rollout_mode=rollout_mode, arm_names=names)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     resolved = {
         **config,
@@ -260,9 +276,9 @@ def cmd_simulate(args) -> int:
                 record = {"arm": arm_result.name, **run.to_dict()}
                 fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
     _write_json({"command": "simulate", "config": resolved, **result.to_report()}, out / "report.json")
-    if args.csv:
+    if csv_path:
         rows = result.csv_rows()
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
@@ -274,10 +290,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _out_path(args.out)
+    out = _out_path(args.out, args.embeddings)
     embeddings = load_embeddings(args.embeddings)
     query = _load_query(embeddings, args.query_id)
-    items = EmbeddingSet([item for item in embeddings if item.id != args.query_id])
+    items = embeddings.take(i for i, id_ in enumerate(embeddings.ids()) if id_ != args.query_id)
     report = metric_report(items, query, args.top_m)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     if out:

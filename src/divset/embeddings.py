@@ -9,7 +9,8 @@ downstream log-determinant values are reproducible across save/load cycles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,65 +60,103 @@ def normalize(e: Embedding) -> Embedding:
     return Embedding(e.id, e.vector / n, e.meta)
 
 
-@dataclass(eq=False)
 class EmbeddingSet:
     """Ordered collection of embeddings sharing one dimension, unique ids.
 
-    Treated as immutable once constructed; the stacked vector matrix is
-    cached on first use.
+    Holds the ids, the metas and one read-only (n, d) matrix; indexing,
+    iteration and get return Embedding views of a row. Immutable once built.
     """
 
-    items: list[Embedding] = field(default_factory=list)
+    def __init__(self, items: Iterable[Embedding] = ()) -> None:
+        items = list(items)
+        self._fill(len(items), ((item.id, item.vector, item.meta) for item in items))
 
-    def __post_init__(self) -> None:
+    def _fill(self, n: int, rows: Iterable[tuple]) -> "EmbeddingSet":
+        """Store n (id, vector, meta) rows in one matrix, rejecting a mixed dimension or a repeated id."""
+        self._ids: list[str] = []
+        self._metas: list[dict[str, str] | None] = []
         self._position: dict[str, int] = {}
-        dim: int | None = None
-        for pos, item in enumerate(self.items):
-            if dim is None:
-                dim = item.dim
-            elif item.dim != dim:
+        matrix = np.zeros((0, 0))
+        for row, (id_, vector, meta) in enumerate(rows):
+            if row == 0:
+                matrix = np.empty((n, vector.size))
+            elif vector.size != matrix.shape[1]:
                 raise ValidationError(
-                    f"embedding {item.id!r}: dimension {item.dim} does not match set dimension {dim}"
+                    f"embedding {id_!r}: dimension {vector.size} does not match set dimension {matrix.shape[1]}"
                 )
-            if item.id in self._position:
-                raise ValidationError(f"duplicate embedding id {item.id!r}")
-            self._position[item.id] = pos
-        self._matrix: np.ndarray | None = None
+            if id_ in self._position:
+                raise ValidationError(f"duplicate embedding id {id_!r}")
+            self._position[id_] = row
+            self._ids.append(id_)
+            self._metas.append(meta)
+            matrix[row] = vector
+        matrix.flags.writeable = False
+        self._matrix = matrix
+        return self
 
     @property
     def dim(self) -> int | None:
         """Common dimension, or None while the set is empty."""
-        return self.items[0].dim if self.items else None
+        return self._matrix.shape[1] if self._ids else None
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self._ids)
 
     def __iter__(self):
-        return iter(self.items)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, i: int) -> Embedding:
-        return self.items[i]
+        return Embedding(self._ids[i], self._matrix[i], self._metas[i])
 
     def ids(self) -> list[str]:
-        return [item.id for item in self.items]
+        return list(self._ids)
 
-    def get(self, id_: str) -> Embedding:
+    def index(self, id_: str) -> int:
         if id_ not in self._position:
             raise ValidationError(f"unknown embedding id {id_!r}")
-        return self.items[self._position[id_]]
+        return self._position[id_]
+
+    def get(self, id_: str) -> Embedding:
+        return self[self.index(id_)]
+
+    def take(self, indices: Iterable[int]) -> "EmbeddingSet":
+        """The rows at these indices, in this order, as a new set."""
+        rows = list(indices)
+        taken = EmbeddingSet.__new__(EmbeddingSet)
+        return taken._fill(len(rows), ((self._ids[i], self._matrix[i], self._metas[i]) for i in rows))
 
     def matrix(self) -> np.ndarray:
-        """Stack vectors into an (n, d) array; empty set gives shape (0, 0).
-
-        The returned array is shared across calls and is read-only.
-        """
-        if self._matrix is None:
-            if self.items:
-                self._matrix = np.stack([item.vector for item in self.items])
-            else:
-                self._matrix = np.zeros((0, 0))
-            self._matrix.flags.writeable = False
+        """The set's own read-only (n, d) storage; an empty set gives shape (0, 0)."""
         return self._matrix
+
+
+def _read_rows(path: str | Path, fh) -> Iterator[tuple]:
+    """The checked (id, vector, meta) of each non-blank line of an open embedding file."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
+        if not isinstance(record, dict) or "id" not in record or "vector" not in record:
+            raise ValidationError(f"{path}: line {lineno} lacks required 'id'/'vector' fields")
+        meta = record.get("meta")
+        if meta is not None and (
+            not isinstance(meta, dict)
+            or any(not isinstance(k, str) or not isinstance(v, str) for k, v in meta.items())
+        ):
+            raise ValidationError(f"{path}: line {lineno}: 'meta' must map strings to strings")
+        if not isinstance(record["id"], str):
+            raise ValidationError(f"{path}: line {lineno}: 'id' must be a string")
+        vector = record["vector"]
+        # numpy would read true/false as 1/0. Only a line that spells one can hold one,
+        # and a line with no "u" and no "a" (a memchr each) spells neither.
+        spelled = ("u" in line or "a" in line) and ("true" in line or "false" in line)
+        if spelled and isinstance(vector, list) and any(isinstance(x, bool) for x in vector):
+            raise ValidationError(f"{path}: line {lineno}: 'vector' must hold numbers, not booleans")
+        item = Embedding(record["id"], vector, meta)
+        yield item.id, item.vector, item.meta
 
 
 def load_embeddings(path: str | Path) -> EmbeddingSet:
@@ -125,36 +164,14 @@ def load_embeddings(path: str | Path) -> EmbeddingSet:
 
     One object per line with a string "id", a flat "vector" of finite
     numbers and an optional string map "meta". Order is preserved; the
-    dimension is inferred from the first record. Malformed records, mixed
-    dimensions and duplicate ids are rejected naming the line or id.
+    dimension is inferred from the first record. The first malformed record,
+    mixed dimension or duplicate id in file order is rejected naming the line
+    or id. Each checked vector goes straight into a matrix sized by a counting pass.
     """
-    items: list[Embedding] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
-            if not isinstance(record, dict) or "id" not in record or "vector" not in record:
-                raise ValidationError(f"{path}: line {lineno} lacks required 'id'/'vector' fields")
-            meta = record.get("meta")
-            if meta is not None and (
-                not isinstance(meta, dict)
-                or any(not isinstance(k, str) or not isinstance(v, str) for k, v in meta.items())
-            ):
-                raise ValidationError(f"{path}: line {lineno}: 'meta' must map strings to strings")
-            if not isinstance(record["id"], str):
-                raise ValidationError(f"{path}: line {lineno}: 'id' must be a string")
-            vector = record["vector"]
-            # numpy would read true/false as 1/0. Only a line that spells one can hold one,
-            # and a line with no "u" and no "a" (a memchr each) spells neither.
-            spelled = ("u" in line or "a" in line) and ("true" in line or "false" in line)
-            if spelled and isinstance(vector, list) and any(isinstance(x, bool) for x in vector):
-                raise ValidationError(f"{path}: line {lineno}: 'vector' must hold numbers, not booleans")
-            items.append(Embedding(record["id"], vector, meta))
-    return EmbeddingSet(items)
+        n = sum(1 for line in fh if line.strip())
+        fh.seek(0)
+        return EmbeddingSet.__new__(EmbeddingSet)._fill(n, _read_rows(path, fh))
 
 
 def save_embeddings(set_: EmbeddingSet, path: str | Path) -> None:

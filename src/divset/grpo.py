@@ -378,7 +378,7 @@ def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
         if key in table:
             ref, features = table[key]
         else:
-            ref = ReferenceSet(EmbeddingSet([task.exemplars[i] for i in key]), task.query)
+            ref = ReferenceSet(task.exemplars.take(key), task.query)
             features = context_features(policy, task.query, ref)
             features.flags.writeable = False
             # the features plus the reference set's member matrix and its k + 2 basis rows

@@ -66,9 +66,6 @@ class ReferenceSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def with_member(self, e: Embedding) -> "ReferenceSet":
-        return ReferenceSet(EmbeddingSet([*self.members.items, e]), self.query)
-
     def rewards(self, rows: np.ndarray, lambda_div: float, lambda_rel: float) -> tuple[np.ndarray, ...]:
         """(gain, relevance, composite) arrays for an (n, d) array of unit rows,
         whose norms and dimension are the caller's to check.

@@ -79,10 +79,9 @@ def _grow(
         taken[best] = True
         order.append(best)
         per_step.append(RewardBreakdown(*values[:, best].tolist(), lambda_div, lambda_rel))
-        ref = ref.with_member(items[best])
+        ref = ReferenceSet(items.take(order), query)
 
-    chosen = EmbeddingSet([items[i] for i in order])
-    return RolloutResult(chosen, per_step, diversity_score(chosen))
+    return RolloutResult(ref.members, per_step, diversity_score(ref.members))
 
 
 def rollout_policy(
@@ -138,7 +137,8 @@ def greedy_select(
     partial selection; ties go to the lowest id."""
     if k < 0 or k > len(pool):
         raise ValidationError(f"k must lie in [0, {len(pool)}], got {k}")
-    items = EmbeddingSet(sorted(pool, key=lambda item: item.id))
+    # id order by Python's str comparison: numpy's string sort ignores trailing NULs
+    items = pool.take(sorted(range(len(pool)), key=pool.ids().__getitem__))
     require_unit_rows(items)
 
     def choose(ref: ReferenceSet, composite: np.ndarray, taken: np.ndarray) -> int:
@@ -161,8 +161,8 @@ def brute_force_select(pool: EmbeddingSet, k: int) -> tuple[EmbeddingSet, float]
         raise ValidationError(
             f"{count} size-{k} subsets exceed the exhaustive-search budget of {BRUTE_FORCE_BUDGET}"
         )
-    items = sorted(pool, key=lambda item: item.id)
-    gram = build_kernel(EmbeddingSet(items))  # checks unit norms; every subset's kernel is a block of it
+    items = pool.take(sorted(range(len(pool)), key=pool.ids().__getitem__))
+    gram = build_kernel(items)  # checks unit norms; every subset's kernel is a block of it
 
     best_subset: tuple[int, ...] = ()
     best_score = -np.inf
@@ -172,4 +172,4 @@ def brute_force_select(pool: EmbeddingSet, k: int) -> tuple[EmbeddingSet, float]
         score = logdet_regularized_gram(gram[np.ix_(subset, subset)])
         if score > best_score + BRUTE_FORCE_TIE_TOL:
             best_subset, best_score = subset, score
-    return EmbeddingSet([items[i] for i in best_subset]), float(best_score)
+    return items.take(best_subset), float(best_score)

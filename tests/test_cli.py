@@ -159,7 +159,9 @@ class TestSelect:
         assert sorted(brute["selected_ids"]) == ["a", "b", "c"]
         assert greedy["final_diversity"] == pytest.approx(3 * LN2, abs=1e-9)
 
-    def test_k_zero_rejected(self, oracle_file, capsys):
+    def test_k_zero_rejected(self, oracle_file, capsys, monkeypatch):
+        # --k is checked with the weights, before the file is read
+        monkeypatch.setattr(cli, "load_embeddings", lambda path: pytest.fail("loaded before checking --k"))
         code = main(
             ["select", "--embeddings", str(oracle_file), "--query-id", "query", "--k", "0"]
         )
@@ -387,6 +389,58 @@ def test_non_finite_sigma_exits_2_naming_sigma(tmp_path, capsys, command, litera
     assert caught == []
     assert "sigma must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestOutputPaths:
+    """Output paths are checked before any work: none may name an input
+    file, and train and simulate check theirs before they train."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["score"], ["select", "--k", "1"], ["eval"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_may_not_name_the_embeddings_file(self, oracle_file, capsys, monkeypatch, argv):
+        monkeypatch.chdir(oracle_file.parent)
+        before = oracle_file.read_bytes()
+        # the same file under a relative and an absolute spelling
+        code = main([*argv, "--embeddings", str(oracle_file), "--query-id", "query", "--out", oracle_file.name])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert oracle_file.name in err and "input file" in err
+        assert out == ""
+        assert oracle_file.read_bytes() == before
+
+    def test_csv_may_not_name_the_config_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran the experiment"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        before = config.read_bytes()
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run"), "--csv", str(config)]) == 2
+        assert f"cannot write {config}" in capsys.readouterr().err
+        assert config.read_bytes() == before
+        assert not (tmp_path / "run").exists()
+
+    def test_csv_in_missing_directory_rejected_before_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran the experiment"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        csv_path = tmp_path / "gone" / "table.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run"), "--csv", str(csv_path)]) == 2
+        assert str(csv_path) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, trainer", [("train", "train"), ("simulate", "run_experiment")])
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+    def test_out_naming_a_file_rejected_before_training(self, tmp_path, capsys, monkeypatch, command, trainer, under):
+        monkeypatch.setattr(cli, trainer, lambda *a, **kw: pytest.fail("trained"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"version": 1, "world": SMALL_CONFIG["world"], "k": 3}))
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        assert main([command, "--config", str(config), "--out", str(blocker / under)]) == 2
+        assert f"{blocker} is not a directory" in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory"
 
 
 class TestTrainCommand:

@@ -1,6 +1,7 @@
 """Embedding construction, normalization, and JSON Lines round trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,7 +75,9 @@ class TestEmbeddingSet:
 
     def test_get_finds_every_id(self):
         s = EmbeddingSet([Embedding(f"e{i}", [float(i), 1.0]) for i in range(50)])
-        assert all(s.get(f"e{i}") is s[i] for i in range(50))
+        for i in range(50):
+            assert s.get(f"e{i}").id == s[i].id == f"e{i}"
+            np.testing.assert_array_equal(s.get(f"e{i}").vector, [float(i), 1.0])
 
     def test_matrix_order(self):
         s = EmbeddingSet([Embedding("a", [1, 0]), Embedding("b", [0, 1])])
@@ -85,6 +88,39 @@ class TestEmbeddingSet:
         with pytest.raises(ValueError):
             s.matrix()[0, 0] = 2.0
         np.testing.assert_array_equal(s.matrix(), [[1, 0], [0, 1]])
+
+
+    def test_take_keeps_order_ids_and_metas(self):
+        s = EmbeddingSet([Embedding(f"e{i}", [float(i), 1.0], meta={"i": str(i)}) for i in range(5)])
+        taken = s.take([3, 0, 4])
+        assert taken.ids() == ["e3", "e0", "e4"]
+        assert [item.meta for item in taken] == [{"i": "3"}, {"i": "0"}, {"i": "4"}]
+        np.testing.assert_array_equal(taken.matrix(), s.matrix()[[3, 0, 4]])
+        assert s.ids() == ["e0", "e1", "e2", "e3", "e4"]
+
+    def test_take_matrix_is_read_only(self):
+        taken = EmbeddingSet([Embedding("a", [1.0, 0.0]), Embedding("b", [0.0, 1.0])]).take([1])
+        with pytest.raises(ValueError):
+            taken.matrix()[0, 0] = 2.0
+
+    def test_empty_take(self):
+        taken = EmbeddingSet([Embedding("a", [1.0, 0.0])]).take([])
+        assert len(taken) == 0
+        assert taken.dim is None
+        assert taken.matrix().shape == (0, 0)
+
+    def test_get_after_take(self):
+        s = EmbeddingSet([Embedding(f"e{i}", [float(i), 1.0]) for i in range(5)])
+        taken = s.take([4, 1])
+        np.testing.assert_array_equal(taken.get("e1").vector, [1.0, 1.0])
+        assert taken[0].id == "e4"
+        with pytest.raises(ValidationError, match="'e0'"):
+            taken.get("e0")
+
+    def test_take_rejects_a_repeated_row(self):
+        s = EmbeddingSet([Embedding("a", [1.0, 0.0]), Embedding("b", [0.0, 1.0])])
+        with pytest.raises(ValidationError, match="duplicate embedding id 'b'"):
+            s.take([1, 0, 1])
 
 
 class TestJsonLines:
@@ -108,6 +144,42 @@ class TestJsonLines:
         )
         with pytest.raises(ValidationError, match="'odd'"):
             load_embeddings(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('\n{"id": "a", "vector": [1.0, 0.0]}\n   \n{"id": "b", "vector": [0.0, 1.0]}\n\n')
+        s = load_embeddings(path)
+        assert s.ids() == ["a", "b"]
+        np.testing.assert_array_equal(s.matrix(), [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_first_fault_in_file_order(self, tmp_path):
+        # a wrong dimension at line 3 is reported before a NaN at line 5
+        path = tmp_path / "emb.jsonl"
+        path.write_text(
+            '{"id": "a", "vector": [1, 0]}\n'
+            '{"id": "b", "vector": [0, 1]}\n'
+            '{"id": "wide", "vector": [0, 1, 0]}\n'
+            '{"id": "c", "vector": [1, 1]}\n'
+            '{"id": "nan", "vector": [NaN, 1]}\n'
+        )
+        with pytest.raises(ValidationError, match="'wide': dimension 3 does not match set dimension 2"):
+            load_embeddings(path)
+
+    def test_load_peak_memory_near_the_matrix(self, tmp_path):
+        # the vectors go straight into one preallocated matrix, with no per-item objects beside it
+        rng = np.random.default_rng(5)
+        path = tmp_path / "emb.jsonl"
+        with open(path, "w") as fh:
+            for i, row in enumerate(rng.standard_normal((5000, 64))):
+                fh.write(json.dumps({"id": f"e{i:05d}", "vector": row.tolist()}) + "\n")
+        tracemalloc.start()
+        try:
+            matrix = load_embeddings(path).matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (5000, 64)
+        assert peak <= 1.5 * matrix.nbytes
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "emb.jsonl"

@@ -4,9 +4,11 @@
 members' Cholesky factor. The oracles here are the slow direct forms: the
 gain as the difference of two regularized log-volumes of stacked sets,
 relevance as the query cosine times the mean of the member cosines, and
-greedy selection and the policy rollout as loops that score one candidate
-at a time.
+greedy selection, the policy rollout and the score command as loops that
+score one candidate at a time.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -22,8 +24,11 @@ from divset import (
     marginal_gain,
     policy_probs,
     relevance,
+    load_embeddings,
     rollout_policy,
+    save_embeddings,
 )
+from divset.cli import main
 
 TOL = 1e-12
 SEEDS = range(24)
@@ -89,9 +94,35 @@ def per_pick_rollout(policy, query, k, mode, seed, lambda_div, lambda_rel):
         per_step.append(composite_reward(item, ref, lambda_div, lambda_rel).to_dict())
         selected.append(item)
         mask[choice] = True
-        ref = ref.with_member(item)
+        ref = ReferenceSet(EmbeddingSet(selected), query)
     chosen = EmbeddingSet(selected)
     return chosen.ids(), per_step, diversity_score(chosen)
+
+
+def per_row_score(path, query_id, ref_ids, lambda_div, lambda_rel):
+    """The score command one candidate at a time: composite_reward of every
+    non-reference row in file order. Returns its stdout and --out text."""
+    embeddings = load_embeddings(path)
+    ref = ReferenceSet(EmbeddingSet([embeddings.get(rid) for rid in ref_ids]), embeddings.get(query_id))
+    lines, rows = [], []
+    for item in embeddings:
+        if item.id in ref_ids:
+            continue
+        breakdown = composite_reward(item, ref, lambda_div, lambda_rel)
+        rows.append({"id": item.id, **breakdown.to_dict()})
+        lines.append(
+            f"{item.id}\tcomposite={breakdown.composite:.8f}\t"
+            f"diversity_gain={breakdown.diversity_gain:.8f}\trelevance={breakdown.relevance:.8f}\n"
+        )
+    config = {
+        "embeddings": str(path),
+        "query_id": query_id,
+        "ref_ids": ref_ids,
+        "lambda_div": lambda_div,
+        "lambda_rel": lambda_rel,
+    }
+    report = {"command": "score", "config": config, "candidates": rows}
+    return "".join(lines), json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def random_case(seed):
@@ -196,3 +227,29 @@ def test_rollout_matches_per_pick_loop(seed, mode):
     assert result.selected.ids() == ids
     assert [step.to_dict() for step in result.per_step] == per_step
     assert result.final_diversity == final_diversity
+
+
+@pytest.mark.parametrize("n_refs", [0, 4])
+@pytest.mark.parametrize("seed", range(8))
+def test_score_matches_per_row_loop(tmp_path, capsys, seed, n_refs):
+    rng = np.random.default_rng(3000 + seed)
+    d = int(rng.integers(2, 65))
+    rows = unit_rows(rng, 30, d)
+    rows = np.vstack([rows, rows[rng.integers(0, 30, 8)]])  # eight duplicate vectors
+    order = rng.permutation(len(rows))
+    # shuffled ids, so file order is not id order
+    pool = EmbeddingSet([Embedding(f"s{j:03d}", rows[j]) for j in order])
+    path = tmp_path / "emb.jsonl"
+    save_embeddings(pool, path)
+    ids = pool.ids()
+    # the references sit mid-file and the query stays among the candidates
+    query_id, *ref_ids = (ids[int(i)] for i in rng.choice(np.arange(5, 33), 1 + n_refs, replace=False))
+    lambda_div, lambda_rel = (float(x) for x in rng.uniform(0.0, 1.0, 2))
+    argv = ["score", "--embeddings", str(path), "--query-id", query_id]
+    for rid in ref_ids:
+        argv += ["--ref-id", rid]
+    out = tmp_path / "scores.json"
+    assert main([*argv, "--lambda-div", repr(lambda_div), "--lambda-rel", repr(lambda_rel), "--out", str(out)]) == 0
+    expected_stdout, expected_report = per_row_score(path, query_id, ref_ids, lambda_div, lambda_rel)
+    assert capsys.readouterr().out == expected_stdout
+    assert out.read_bytes() == expected_report.encode()

@@ -230,8 +230,9 @@ class TestReferenceSet:
         with pytest.raises(ValidationError, match="dimension 3"):
             view(Embedding("c", [0.0, 0.0, 1.0]), ref)
 
-    def test_with_member_appends(self):
+    def test_members_taken_from_a_pool(self):
         q = Embedding("q", [1.0, 0.0])
-        ref = ReferenceSet.empty(q).with_member(Embedding("m", [0.0, 1.0]))
+        pool = EmbeddingSet([Embedding("x", [1.0, 0.0]), Embedding("m", [0.0, 1.0])])
+        ref = ReferenceSet(pool.take([1]), q)
         assert len(ref) == 1
         assert ref.members.ids() == ["m"]

@@ -111,7 +111,7 @@ class TestRolloutPolicy:
         probe = Embedding("probe", rand_unit(rng, 6))
         prev = np.inf
         for t in range(len(result.selected) + 1):
-            ref = ReferenceSet(EmbeddingSet(result.selected.items[:t]), query)
+            ref = ReferenceSet(result.selected.take(range(t)), query)
             gain = marginal_gain(probe, ref)
             assert gain <= prev + 1e-12
             prev = gain
@@ -168,6 +168,14 @@ class TestGreedySelect:
         assert result.selected.ids() == ["a", "c"]
         np.testing.assert_allclose(result.per_step[0].diversity_gain, LN2, atol=1e-12)
         np.testing.assert_allclose(result.per_step[1].diversity_gain, LN2, atol=1e-12)
+
+    def test_ties_go_to_the_lowest_id_with_trailing_nul(self):
+        # "a" sorts before "a\x00" in Python; numpy's string sort would tie them and keep file order
+        e = np.eye(2)
+        pool = EmbeddingSet([Embedding("a\x00", e[0]), Embedding("a", e[0]), Embedding("b", e[1])])
+        result = greedy_select(pool, Embedding("q", e[0]), k=1)
+        assert result.selected.ids() == ["a"]
+        assert brute_force_select(pool, 2)[0].ids() == ["a", "b"]
 
     def test_orthogonal_pool_gain_constant_per_step(self):
         e = np.eye(4)

@@ -147,7 +147,6 @@ class TestSetSizeDiminishingReturns:
         from dataclasses import replace
 
         from divset import rollout_policy, vendi_score
-        from divset.embeddings import EmbeddingSet
 
         world = make_world(**DEFAULT_WORLD)
         config = GrpoConfig(lambda_div=0.5, lambda_rel=0.5, iterations=400)
@@ -157,7 +156,7 @@ class TestSetSizeDiminishingReturns:
             policy, _ = train_policy(replace(config, seed=seed), world)
             result = rollout_policy(policy, world.query, k=k, mode="greedy-prob", seed=seed)
             running = [
-                vendi_score(EmbeddingSet(result.selected.items[:t])) for t in range(1, k + 1)
+                vendi_score(result.selected.take(range(t))) for t in range(1, k + 1)
             ]
             profiles.append(np.diff([0.0] + running))
         avg = np.mean(profiles, axis=0)
