@@ -114,21 +114,25 @@ def _write_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
-def _out_path(out: str | None, source: str | None) -> Path | None:
-    """An output path, rejected before any work when its directory is missing
-    or when it names the command's input file ``source``."""
+def _out_path(out: str | None, source: str | None, make_parent: bool = False) -> Path | None:
+    """An output file, rejected before any work when it names a directory or the
+    command's input file ``source``, or when its directory is missing (with
+    ``make_parent``, when it cannot be made)."""
     path = Path(out) if out else None
-    if path and not path.parent.is_dir():
-        raise ValidationError(f"cannot write {out}: directory {path.parent} does not exist")
+    if path and path.is_dir():
+        raise ValidationError(f"cannot write {out}: it is a directory")
     if path and source and path.resolve() == Path(source).resolve():
         raise ValidationError(f"cannot write {out}: it is the input file {source}")
+    if path and make_parent:
+        _out_dir(path.parent, out)
+    elif path and not path.parent.is_dir():
+        raise ValidationError(f"cannot write {out}: directory {path.parent} does not exist")
     return path
 
 
-def _out_dir(out: str) -> Path:
-    """The --out directory, rejected before any work when it, or the nearest
-    of its parents that exists, is not a directory."""
-    path = Path(out)
+def _out_dir(path: Path, out: str) -> Path:
+    """The directory ``path`` of the output ``out``, made after the work, rejected
+    before any work when it, or the nearest of its parents that exists, is not a directory."""
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
         raise ValidationError(f"cannot write {out}: {existing} is not a directory")
@@ -213,7 +217,7 @@ def cmd_train(args) -> int:
     world_params, world, grpo, k = _resolve_shared(config)
     rollout_mode = config["rollout_mode"]
     check_rollout(world, k, rollout_mode)
-    out = _out_dir(args.out)
+    out = _out_dir(Path(args.out), args.out)
     policy, records = train(grpo, world)
     rollout = rollout_policy(
         policy,
@@ -254,8 +258,8 @@ def cmd_simulate(args) -> int:
     if not isinstance(seeds, list):
         raise ValidationError(f'config "seeds" must be a list of integers, got {seeds!r}')
     rollout_mode = config["rollout_mode"]
-    out = _out_dir(args.out)
-    csv_path = _out_path(args.csv, args.config)
+    out = _out_dir(Path(args.out), args.out)
+    csv_path = _out_path(args.csv, args.config, make_parent=True)
 
     result = run_experiment(world, arms, k=k, seeds=seeds, rollout_mode=rollout_mode, arm_names=names)
 
@@ -277,6 +281,7 @@ def cmd_simulate(args) -> int:
                 fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
     _write_json({"command": "simulate", "config": resolved, **result.to_report()}, out / "report.json")
     if csv_path:
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
         rows = result.csv_rows()
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

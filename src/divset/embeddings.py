@@ -8,6 +8,7 @@ downstream log-determinant values are reproducible across save/load cycles.
 
 from __future__ import annotations
 
+import io
 import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -67,13 +68,15 @@ class EmbeddingSet:
     iteration and get return Embedding views of a row. Immutable once built.
     """
 
-    def __init__(self, items: Iterable[Embedding] = ()) -> None:
+    def __new__(cls, items: Iterable[Embedding] = ()) -> EmbeddingSet:
         items = list(items)
-        self._fill(len(items), ((item.id, item.vector, item.meta) for item in items))
+        return cls._from_rows(len(items), ((item.id, item.vector, item.meta) for item in items))
 
-    def _fill(self, n: int, rows: Iterable[tuple]) -> "EmbeddingSet":
-        """Store n (id, vector, meta) rows in one matrix, rejecting a mixed dimension or a repeated id."""
-        self._ids: list[str] = []
+    @classmethod
+    def _from_rows(cls, n: int, rows: Iterable[tuple]) -> EmbeddingSet:
+        """A set of n (id, vector, meta) rows in one matrix. Every set is built here,
+        the one place that rejects a mixed dimension or a repeated id."""
+        self = super().__new__(cls)
         self._metas: list[dict[str, str] | None] = []
         self._position: dict[str, int] = {}
         matrix = np.zeros((0, 0))
@@ -87,10 +90,10 @@ class EmbeddingSet:
             if id_ in self._position:
                 raise ValidationError(f"duplicate embedding id {id_!r}")
             self._position[id_] = row
-            self._ids.append(id_)
             self._metas.append(meta)
             matrix[row] = vector
         matrix.flags.writeable = False
+        self._ids = list(self._position)
         self._matrix = matrix
         return self
 
@@ -120,10 +123,11 @@ class EmbeddingSet:
         return self[self.index(id_)]
 
     def take(self, indices: Iterable[int]) -> "EmbeddingSet":
-        """The rows at these indices, in this order, as a new set."""
+        """The rows at these indices, in this order, as a set: itself when they are all its rows in order."""
         rows = list(indices)
-        taken = EmbeddingSet.__new__(EmbeddingSet)
-        return taken._fill(len(rows), ((self._ids[i], self._matrix[i], self._metas[i]) for i in rows))
+        if rows == list(range(len(self))):
+            return self
+        return EmbeddingSet._from_rows(len(rows), ((self._ids[i], self._matrix[i], self._metas[i]) for i in rows))
 
     def matrix(self) -> np.ndarray:
         """The set's own read-only (n, d) storage; an empty set gives shape (0, 0)."""
@@ -169,9 +173,10 @@ def load_embeddings(path: str | Path) -> EmbeddingSet:
     or id. Each checked vector goes straight into a matrix sized by a counting pass.
     """
     with open(path, encoding="utf-8") as fh:
-        n = sum(1 for line in fh if line.strip())
-        fh.seek(0)
-        return EmbeddingSet.__new__(EmbeddingSet)._fill(n, _read_rows(path, fh))
+        text = fh if fh.seekable() else io.StringIO(fh.read())  # a pipe is read once, into memory
+        n = sum(1 for line in text if line.strip())
+        text.seek(0)
+        return EmbeddingSet._from_rows(n, _read_rows(path, text))
 
 
 def save_embeddings(set_: EmbeddingSet, path: str | Path) -> None:

@@ -421,14 +421,45 @@ class TestOutputPaths:
         assert config.read_bytes() == before
         assert not (tmp_path / "run").exists()
 
-    def test_csv_in_missing_directory_rejected_before_training(self, tmp_path, capsys, monkeypatch):
+    def test_csv_under_a_file_rejected_before_training(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran the experiment"))
         config = tmp_path / "config.json"
         config.write_text(json.dumps(SMALL_CONFIG))
-        csv_path = tmp_path / "gone" / "table.csv"
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        csv_path = blocker / "sub" / "table.csv"
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run"), "--csv", str(csv_path)]) == 2
-        assert str(csv_path) in capsys.readouterr().err
+        assert f"cannot write {csv_path}: {blocker} is not a directory" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_csv_directory_made_like_out(self, tmp_path, monkeypatch):
+        # the README's --out runs/sim --csv runs/sim.csv on a checkout with no runs/
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        argv = ["simulate", "--config", str(config), "--out", "runs/sim", "--csv", "runs/sim.csv"]
+        assert main(argv) == 0
+        assert (tmp_path / "runs" / "sim" / "report.json").is_file()
+        assert (tmp_path / "runs" / "sim.csv").read_text().startswith("arm,")
+
+    def test_csv_naming_a_directory_rejected_before_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran the experiment"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "run"), "--csv", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["score"], ["select", "--k", "1"], ["eval"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_naming_a_directory_rejected_before_the_load(self, oracle_file, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "load_embeddings", lambda path: pytest.fail("loaded the embeddings"))
+        code = main([*argv, "--embeddings", str(oracle_file), "--query-id", "query", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, trainer", [("train", "train"), ("simulate", "run_experiment")])
     @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])

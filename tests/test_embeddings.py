@@ -1,6 +1,7 @@
 """Embedding construction, normalization, and JSON Lines round trips."""
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -117,6 +118,11 @@ class TestEmbeddingSet:
         with pytest.raises(ValidationError, match="'e0'"):
             taken.get("e0")
 
+    def test_take_of_every_row_in_order_is_the_set_itself(self):
+        s = EmbeddingSet([Embedding("a", [1.0, 0.0]), Embedding("b", [0.0, 1.0])])
+        assert s.take(range(2)) is s
+        assert s.take([1, 0]) is not s
+
     def test_take_rejects_a_repeated_row(self):
         s = EmbeddingSet([Embedding("a", [1.0, 0.0]), Embedding("b", [0.0, 1.0])])
         with pytest.raises(ValidationError, match="duplicate embedding id 'b'"):
@@ -164,6 +170,22 @@ class TestJsonLines:
         )
         with pytest.raises(ValidationError, match="'wide': dimension 3 does not match set dimension 2"):
             load_embeddings(path)
+
+    def test_load_from_a_pipe(self, tmp_path):
+        # a pipe cannot seek back for the counting pass, so it is read into memory once
+        path = tmp_path / "emb.jsonl"
+        save_embeddings(EmbeddingSet([Embedding(f"e{i}", [float(i), 1.0], meta={"i": str(i)}) for i in range(4)]), path)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"\n" + path.read_bytes())
+            os.close(write_end)
+            piped = load_embeddings(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        loaded = load_embeddings(path)
+        assert piped.ids() == loaded.ids()
+        assert [item.meta for item in piped] == [item.meta for item in loaded]
+        np.testing.assert_array_equal(piped.matrix(), loaded.matrix())
 
     def test_load_peak_memory_near_the_matrix(self, tmp_path):
         # the vectors go straight into one preallocated matrix, with no per-item objects beside it
