@@ -6,7 +6,6 @@ rollouts, and the spectral metrics to evaluate them."""
 from .embeddings import Embedding, EmbeddingSet, load_embeddings, normalize, save_embeddings
 from .errors import NumericalError, ValidationError
 from .grpo import (
-    CandidateGroup,
     GrpoConfig,
     ToyPolicy,
     TrainingTask,
@@ -32,7 +31,6 @@ from .rollout import RolloutResult, brute_force_select, greedy_select, rollout_p
 from .simulation import ExperimentResult, SimWorld, make_world, run_experiment
 
 __all__ = [
-    "CandidateGroup",
     "Embedding",
     "EmbeddingSet",
     "ExperimentResult",

@@ -139,6 +139,16 @@ def _out_dir(path: Path, out: str) -> Path:
     return path
 
 
+def _artifacts(out: Path, names: tuple[str, ...], config: str | None, csv_path: Path | None = None) -> list[Path]:
+    """The files ``names`` in the output directory ``out``, each checked before any
+    work like an output naming the input ``config``, and none of them the --csv output."""
+    paths = [_out_path(str(out / name), config, make_parent=True) for name in names]
+    for path in paths:
+        if csv_path and path.resolve() == csv_path.resolve():
+            raise ValidationError(f"cannot write {csv_path}: it is the artifact {path}")
+    return paths
+
+
 def _load_query(embeddings: EmbeddingSet, query_id: str) -> Embedding:
     query = embeddings.get(query_id)
     require_unit(query)
@@ -148,9 +158,12 @@ def _load_query(embeddings: EmbeddingSet, query_id: str) -> Embedding:
 def cmd_score(args) -> int:
     out = _out_path(args.out, args.embeddings)
     check_weights(args.lambda_div, args.lambda_rel)
+    ref_ids = args.ref_id or []
+    for i, ref_id in enumerate(ref_ids):
+        if ref_id in ref_ids[:i]:
+            raise ValidationError(f"--ref-id {ref_id!r} is given more than once")
     embeddings = load_embeddings(args.embeddings)
     query = _load_query(embeddings, args.query_id)
-    ref_ids = args.ref_id or []
     members = embeddings.take(embeddings.index(rid) for rid in ref_ids)
     require_unit_rows(embeddings)
     ref = ReferenceSet(members, query)
@@ -218,7 +231,10 @@ def cmd_train(args) -> int:
     rollout_mode = config["rollout_mode"]
     check_rollout(world, k, rollout_mode)
     out = _out_dir(Path(args.out), args.out)
-    policy, records = train(grpo, world)
+    config_path, log_path, report_path = _artifacts(
+        out, ("config.json", "training_log.jsonl", "report.json"), args.config
+    )
+    policy, records = train(grpo, world.training_task())
     rollout = rollout_policy(
         policy,
         world.query,
@@ -232,8 +248,8 @@ def cmd_train(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     resolved = {**config, "world": world_params, "grpo": grpo.to_dict(), "k": k}
-    _write_json(resolved, out / "config.json")
-    save_training_log(records, out / "training_log.jsonl")
+    _write_json(resolved, config_path)
+    save_training_log(records, log_path)
     _write_json(
         {
             "command": "train",
@@ -243,7 +259,7 @@ def cmd_train(args) -> int:
             "metrics": evaluation.to_dict(),
             "final_mean_reward": records[-1]["mean_reward"] if records else None,
         },
-        out / "report.json",
+        report_path,
     )
     print(f"trained {grpo.iterations} iterations; selected: {' '.join(rollout.selected.ids())}")
     print(f"artifacts written to {out}")
@@ -260,6 +276,9 @@ def cmd_simulate(args) -> int:
     rollout_mode = config["rollout_mode"]
     out = _out_dir(Path(args.out), args.out)
     csv_path = _out_path(args.csv, args.config, make_parent=True)
+    config_path, runs_path, report_path = _artifacts(
+        out, ("config.json", "runs.jsonl", "report.json"), args.config, csv_path
+    )
 
     result = run_experiment(world, arms, k=k, seeds=seeds, rollout_mode=rollout_mode, arm_names=names)
 
@@ -273,13 +292,13 @@ def cmd_simulate(args) -> int:
         ],
         "k": k,
     }
-    _write_json(resolved, out / "config.json")
-    with open(out / "runs.jsonl", "w", encoding="utf-8") as fh:
+    _write_json(resolved, config_path)
+    with open(runs_path, "w", encoding="utf-8") as fh:
         for arm_result in result.arms:
             for run in arm_result.runs:
                 record = {"arm": arm_result.name, **run.to_dict()}
                 fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
-    _write_json({"command": "simulate", "config": resolved, **result.to_report()}, out / "report.json")
+    _write_json({"command": "simulate", "config": resolved, **result.to_report()}, report_path)
     if csv_path:
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         rows = result.csv_rows()

@@ -80,14 +80,6 @@ class ToyPolicy:
         if not (np.all(np.isfinite(self.theta)) and np.all(np.isfinite(self.bias))):
             raise ValidationError("policy parameters must be finite")
 
-    def copy(self) -> "ToyPolicy":
-        # bypass __init__: the copied state is already validated
-        clone = object.__new__(ToyPolicy)
-        clone.vocabulary = self.vocabulary
-        clone.theta = self.theta.copy()
-        clone.bias = self.bias.copy()
-        return clone
-
 
 def context_features(policy: ToyPolicy, query: Embedding, ref: ReferenceSet) -> np.ndarray:
     """Per-candidate feature rows [cos to query, max cos to ref member]."""
@@ -115,41 +107,23 @@ def policy_probs(policy: ToyPolicy, query: Embedding, ref: ReferenceSet) -> np.n
     return _softmax(context_features(policy, query, ref), policy)
 
 
-@dataclass(eq=False)
-class CandidateGroup:
-    """One group of sampled candidates with rewards and advantages."""
-
-    indices: np.ndarray
-    rewards: np.ndarray | None = None
-    advantages: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.indices = np.asarray(self.indices, dtype=int)
-        if self.group_size < 2:
-            raise ValidationError(f"group size must be at least 2, got {self.group_size}")
-
-    @property
-    def group_size(self) -> int:
-        return int(self.indices.size)
-
-
 def sample_group(
     policy: ToyPolicy,
     query: Embedding,
     ref: ReferenceSet,
     group_size: int,
     rng_seed: int,
-) -> CandidateGroup:
-    """Draw G vocabulary indices i.i.d. (with replacement) from the policy;
-    deterministic for a fixed seed."""
+) -> np.ndarray:
+    """The (G,) int array of G vocabulary indices drawn i.i.d. (with
+    replacement) from the policy; deterministic for a fixed seed."""
     return _draw_group(policy_probs(policy, query, ref), group_size, rng_seed)
 
 
-def _draw_group(probs: np.ndarray, group_size: int, rng_seed: int) -> CandidateGroup:
+def _draw_group(probs: np.ndarray, group_size: int, rng_seed: int) -> np.ndarray:
     if group_size < 2:
         raise ValidationError(f"group size must be at least 2, got {group_size}")
     rng = np.random.default_rng(rng_seed)
-    return CandidateGroup(indices=rng.choice(len(probs), size=group_size, replace=True, p=probs))
+    return rng.choice(len(probs), size=group_size, replace=True, p=probs)
 
 
 def compute_advantages(rewards) -> np.ndarray:
@@ -167,31 +141,20 @@ def compute_advantages(rewards) -> np.ndarray:
     return (r - r.mean()) / std
 
 
-def exact_kl(p: np.ndarray, q: np.ndarray) -> float:
-    """Discrete KL(p || q); infinite when q has a zero where p does not."""
-    support = p > 0
-    with np.errstate(divide="ignore"):
-        terms = p[support] * (np.log(p[support]) - np.log(q[support]))
-    return float(terms.sum())
-
-
 def policy_entropy(p: np.ndarray) -> float:
     """Shannon entropy in nats of a probability vector."""
     support = p > 0
     return float(-(p[support] * np.log(p[support])).sum())
 
 
-def _clipped_surrogate(features, p_new, p_old, p_ref, group, clip_epsilon, kl_beta):
-    """(objective, KL(p_new || p_ref), theta grad, bias grad) from one context's arrays."""
-    if group.advantages is None:
-        raise ValidationError("group advantages must be computed before the surrogate")
-    sampled_old = p_old[group.indices]
+def _clipped_surrogate(features, p_new, p_old, p_ref, indices, advantages, clip_epsilon, kl_beta):
+    """(objective, KL(p_new || p_ref), theta grad, bias grad) from one context's and one group's arrays."""
+    sampled_old = p_old[indices]
     if np.any(sampled_old == 0.0):
         raise NumericalError("old policy assigns zero probability to a sampled action")
-    ratios = p_new[group.indices] / sampled_old
-    adv = group.advantages
-    unclipped = ratios * adv
-    clipped = np.clip(ratios, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * adv
+    ratios = p_new[indices] / sampled_old
+    unclipped = ratios * advantages
+    clipped = np.clip(ratios, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * advantages
     # s is the per-item log-ratio log p_new - log p_ref; KL = sum p_new * s
     support = p_new > 0
     s = np.zeros_like(p_new)
@@ -201,26 +164,28 @@ def _clipped_surrogate(features, p_new, p_old, p_ref, group, clip_epsilon, kl_be
     objective = float(np.minimum(unclipped, clipped).mean()) - kl_beta * kl
 
     active = unclipped <= clipped
-    coef = np.where(active, adv * ratios, 0.0) / group.group_size
+    coef = np.where(active, advantages * ratios, 0.0) / indices.size
     g_logits = np.zeros_like(p_new)
-    np.add.at(g_logits, group.indices, coef)
+    np.add.at(g_logits, indices, coef)
     g_logits -= coef.sum() * p_new
     if kl_beta != 0.0:
         g_logits -= kl_beta * p_new * (s - kl)
     return objective, kl, features.T @ g_logits, g_logits
 
 
-def _surrogate(policy, old, ref_policy, group, query, ref, clip_epsilon, kl_beta):
+def _surrogate(policy, old, ref_policy, indices, advantages, query, ref, clip_epsilon, kl_beta):
     features = context_features(policy, query, ref)  # one for all three: they share the vocabulary
     p_new, p_old, p_ref = (_softmax(features, p) for p in (policy, old, ref_policy))
-    return _clipped_surrogate(features, p_new, p_old, p_ref, group, clip_epsilon, kl_beta)
+    indices = np.asarray(indices, dtype=int)
+    return _clipped_surrogate(features, p_new, p_old, p_ref, indices, advantages, clip_epsilon, kl_beta)
 
 
 def surrogate_objective(
     policy: ToyPolicy,
     old: ToyPolicy,
     ref_policy: ToyPolicy,
-    group: CandidateGroup,
+    indices: np.ndarray,
+    advantages: np.ndarray,
     query: Embedding,
     ref: ReferenceSet,
     clip_epsilon: float,
@@ -234,14 +199,15 @@ def surrogate_objective(
     with rho_i the new/old probability ratio of the sampled action and the
     KL taken exactly over the vocabulary in the current context.
     """
-    return _surrogate(policy, old, ref_policy, group, query, ref, clip_epsilon, kl_beta)[0]
+    return _surrogate(policy, old, ref_policy, indices, advantages, query, ref, clip_epsilon, kl_beta)[0]
 
 
 def surrogate_gradient(
     policy: ToyPolicy,
     old: ToyPolicy,
     ref_policy: ToyPolicy,
-    group: CandidateGroup,
+    indices: np.ndarray,
+    advantages: np.ndarray,
     query: Embedding,
     ref: ReferenceSet,
     clip_epsilon: float,
@@ -259,7 +225,7 @@ def surrogate_gradient(
     and theta/bias gradients follow by the chain rule through the affine
     logit map.
     """
-    return _surrogate(policy, old, ref_policy, group, query, ref, clip_epsilon, kl_beta)[2:]
+    return _surrogate(policy, old, ref_policy, indices, advantages, query, ref, clip_epsilon, kl_beta)[2:]
 
 
 @dataclass
@@ -342,17 +308,16 @@ def _iteration_context(task: TrainingTask, rng: np.random.Generator) -> tuple[in
     return tuple(sorted(rng.choice(len(task.exemplars), size=size, replace=False).tolist()))
 
 
-def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
+def train(config: GrpoConfig, task: TrainingTask) -> tuple[ToyPolicy, list[dict]]:
     """Run the full training loop and return the policy plus per-iteration log.
 
-    ``task`` is a TrainingTask or anything exposing ``training_task()``
-    (e.g. a simulation world). The policy starts uniform (all parameters
-    zero); the KL penalty is taken against that uniform policy. Each
-    iteration samples a group, scores it with the composite reward against
-    the iteration's reference context, normalizes advantages, and takes one
-    gradient-ascent step on the surrogate. With one update per group the
-    sampling policy is the current one, so every ratio is exactly 1 and
-    clip_epsilon does not change the result.
+    The policy starts uniform (all parameters zero); the KL penalty is taken
+    against that uniform policy. Each iteration samples a group, scores it
+    with the composite reward against the iteration's reference context,
+    normalizes advantages, and takes one gradient-ascent step on the
+    surrogate. With one update per group the sampling policy is the current
+    one, so every ratio is exactly 1 and clip_epsilon does not change the
+    result.
 
     Each distinct context (its sorted exemplar indices) gets its ReferenceSet
     and feature matrix built once and kept in a table of at most
@@ -362,8 +327,6 @@ def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
     Log records carry iteration, objective, mean_reward, kl and
     policy_entropy. The whole run is deterministic given config.seed.
     """
-    if hasattr(task, "training_task"):
-        task = task.training_task()
     policy = ToyPolicy(task.vocabulary)
     vocabulary = task.vocabulary.matrix()
     p_ref = np.full(len(task.vocabulary), 1.0 / len(task.vocabulary))  # the all-zero reference policy
@@ -387,12 +350,12 @@ def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
                 table[key] = ref, features
                 table_floats += floats
         probs = _softmax(features, policy)
-        group = _draw_group(probs, config.group_size, group_seed)
-        group.rewards = ref.rewards(vocabulary[group.indices], config.lambda_div, config.lambda_rel)[2]
-        group.advantages = compute_advantages(group.rewards)
+        indices = _draw_group(probs, config.group_size, group_seed)
+        rewards = ref.rewards(vocabulary[indices], config.lambda_div, config.lambda_rel)[2]
+        advantages = compute_advantages(rewards)
         # one update per group: the old policy is the current one, so p_old = p_new
         objective, kl, theta_grad, bias_grad = _clipped_surrogate(
-            features, probs, probs, p_ref, group, config.clip_epsilon, config.kl_beta
+            features, probs, probs, p_ref, indices, advantages, config.clip_epsilon, config.kl_beta
         )
         if not (np.all(np.isfinite(theta_grad)) and np.all(np.isfinite(bias_grad))):
             raise NumericalError(f"non-finite gradient at iteration {iteration}")
@@ -403,7 +366,7 @@ def train(config: GrpoConfig, task) -> tuple[ToyPolicy, list[dict]]:
             {
                 "iteration": iteration,
                 "objective": objective,
-                "mean_reward": float(group.rewards.mean()),
+                "mean_reward": float(rewards.mean()),
                 "kl": kl,
                 "policy_entropy": policy_entropy(probs),
             }

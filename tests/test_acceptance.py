@@ -14,10 +14,8 @@ import numpy as np
 import pytest
 
 from divset import (
-    CandidateGroup,
     Embedding,
     EmbeddingSet,
-    GrpoConfig,
     ReferenceSet,
     ToyPolicy,
     compute_advantages,
@@ -32,7 +30,6 @@ from divset import (
 )
 from divset.cli import main
 from divset.kernel import build_kernel, logdet_regularized_gram
-from divset.simulation import DEFAULT_WORLD, make_world, run_experiment
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -150,10 +147,9 @@ def _gradient_check_instance(seed):
     new = ToyPolicy(vocab, rng.normal(0, 0.5, 2), rng.normal(0, 0.5, n_vocab))
     old = ToyPolicy(vocab, new.theta + rng.normal(0, 0.15, 2), new.bias + rng.normal(0, 0.15, n_vocab))
     ref_policy = ToyPolicy(vocab, rng.normal(0, 0.5, 2), rng.normal(0, 0.5, n_vocab))
-    group = sample_group(old, query, ref, 8, rng_seed=int(rng.integers(2**31)))
-    group.rewards = rng.normal(0, 1, 8)
-    group.advantages = compute_advantages(group.rewards)
-    return vocab, query, ref, new, old, ref_policy, group
+    indices = sample_group(old, query, ref, 8, rng_seed=int(rng.integers(2**31)))
+    advantages = compute_advantages(rng.normal(0, 1, 8))
+    return vocab, query, ref, new, old, ref_policy, indices, advantages
 
 
 def test_criterion_5_surrogate_gradient_check():
@@ -162,11 +158,13 @@ def test_criterion_5_surrogate_gradient_check():
         checked, seed = 0, 0
         while checked < 50:
             seed += 1
-            vocab, query, ref, new, old, ref_policy, group = _gradient_check_instance(seed)
-            rho = policy_probs(new, query, ref)[group.indices] / policy_probs(old, query, ref)[group.indices]
+            vocab, query, ref, new, old, ref_policy, indices, advantages = _gradient_check_instance(seed)
+            rho = policy_probs(new, query, ref)[indices] / policy_probs(old, query, ref)[indices]
             if np.any(np.abs(rho - (1 - eps)) < 1e-3) or np.any(np.abs(rho - (1 + eps)) < 1e-3):
                 continue
-            g_theta, g_bias = surrogate_gradient(new, old, ref_policy, group, query, ref, eps, beta)
+            g_theta, g_bias = surrogate_gradient(
+                new, old, ref_policy, indices, advantages, query, ref, eps, beta
+            )
             analytic = np.concatenate([g_theta, g_bias])
             flat0 = np.concatenate([new.theta, new.bias])
             numeric = np.zeros_like(flat0)
@@ -176,10 +174,12 @@ def test_criterion_5_surrogate_gradient_check():
                 down[j] -= h
                 numeric[j] = (
                     surrogate_objective(
-                        ToyPolicy(vocab, up[:2], up[2:]), old, ref_policy, group, query, ref, eps, beta
+                        ToyPolicy(vocab, up[:2], up[2:]), old, ref_policy, indices, advantages, query, ref, eps,
+                        beta,
                     )
                     - surrogate_objective(
-                        ToyPolicy(vocab, down[:2], down[2:]), old, ref_policy, group, query, ref, eps, beta
+                        ToyPolicy(vocab, down[:2], down[2:]), old, ref_policy, indices, advantages, query, ref, eps,
+                        beta,
                     )
                 ) / (2 * h)
             rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
@@ -201,11 +201,8 @@ def test_criterion_5_surrogate_gradient_check():
             new2 = ToyPolicy(
                 vocab2, [0.0, 0.0], [math.log(target_ratio / (2.0 - target_ratio)), 0.0]
             )
-            group2 = CandidateGroup(
-                indices=np.array([0, 0]),
-                advantages=np.array([advantage, advantage]),
-            )
-            value = surrogate_objective(new2, old2, old2, group2, q2, ref2, 0.2, 0.0)
+            indices2, advantages2 = np.array([0, 0]), np.array([advantage, advantage])
+            value = surrogate_objective(new2, old2, old2, indices2, advantages2, q2, ref2, 0.2, 0.0)
             assert abs(value - expected) <= 1e-9, (target_ratio, advantage, value)
 
 
@@ -225,23 +222,6 @@ def test_criterion_6_vendi_endpoints():
             items = list(unit_set(rng, int(rng.integers(1, 7)), int(rng.integers(2, 10))))
             doubled = items + [Embedding(f"copy-{item.id}", item.vector) for item in items]
             assert abs(vendi_score(EmbeddingSet(items)) - vendi_score(EmbeddingSet(doubled))) <= 1e-6
-
-
-@pytest.fixture(scope="module")
-def default_world_experiment():
-    """One 4-arm experiment on the default world shared by criteria 7 and 8."""
-    world = make_world(**DEFAULT_WORLD)
-    arms = [
-        GrpoConfig(lambda_div=0.1, lambda_rel=0.9),
-        GrpoConfig(lambda_div=0.5, lambda_rel=0.5),
-        GrpoConfig(lambda_div=0.9, lambda_rel=0.1),
-        GrpoConfig(lambda_div=0.0, lambda_rel=1.0),
-    ]
-    names = ["div0.1", "div0.5", "div0.9", "relevance-only"]
-    start = time.perf_counter()
-    result = run_experiment(world, arms, k=8, seeds=list(range(10)), arm_names=names)
-    elapsed = time.perf_counter() - start
-    return result, elapsed
 
 
 @pytest.mark.slow

@@ -79,6 +79,12 @@ class TestScore:
         assert by_id["d"]["composite"] == pytest.approx(LN3 - LN2, abs=1e-9)
         assert "a" not in by_id  # reference members are not scored
 
+    def test_repeated_ref_id_exits_2_naming_the_flag(self, oracle_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_embeddings", lambda path: pytest.fail("loaded the embeddings"))
+        argv = ["score", "--embeddings", str(oracle_file), "--query-id", "query", "--ref-id", "a", "--ref-id", "a"]
+        assert main(argv) == 2
+        assert "--ref-id 'a' is given more than once" in capsys.readouterr().err
+
     def test_unknown_id_exits_2(self, oracle_file, capsys):
         code = main(["score", "--embeddings", str(oracle_file), "--query-id", "missing"])
         assert code == 2
@@ -420,6 +426,51 @@ class TestOutputPaths:
         assert f"cannot write {config}" in capsys.readouterr().err
         assert config.read_bytes() == before
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, trainer, artifact",
+        [
+            ("train", "train", "config.json"),
+            ("train", "train", "training_log.jsonl"),
+            ("train", "train", "report.json"),
+            ("simulate", "run_experiment", "config.json"),
+            ("simulate", "run_experiment", "runs.jsonl"),
+            ("simulate", "run_experiment", "report.json"),
+        ],
+    )
+    def test_artifact_may_not_overwrite_the_config_file(
+        self, tmp_path, capsys, monkeypatch, command, trainer, artifact
+    ):
+        monkeypatch.setattr(cli, trainer, lambda *a, **kw: pytest.fail("trained"))
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / artifact
+        config.write_text(json.dumps({"version": 1, "world": SMALL_CONFIG["world"], "k": 3}))
+        before = config.read_bytes()
+        # the same file under a relative and an absolute spelling
+        assert main([command, "--config", str(config), "--out", "."]) == 2
+        assert f"cannot write {artifact}: it is the input file {config}" in capsys.readouterr().err
+        assert config.read_bytes() == before
+
+    def test_csv_may_not_overwrite_an_artifact(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran the experiment"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "run"
+        csv_path = out / "report.json"
+        assert main(["simulate", "--config", str(config), "--out", str(out), "--csv", str(csv_path)]) == 2
+        assert f"cannot write {csv_path}: it is the artifact {csv_path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, trainer", [("train", "train"), ("simulate", "run_experiment")])
+    def test_artifact_naming_a_directory_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch, command, trainer
+    ):
+        monkeypatch.setattr(cli, trainer, lambda *a, **kw: pytest.fail("trained"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"version": 1, "world": SMALL_CONFIG["world"], "k": 3}))
+        (tmp_path / "run" / "report.json").mkdir(parents=True)
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        assert f"cannot write {tmp_path / 'run' / 'report.json'}: it is a directory" in capsys.readouterr().err
 
     def test_csv_under_a_file_rejected_before_training(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran the experiment"))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from divset import (
-    CandidateGroup,
     Embedding,
     EmbeddingSet,
     GrpoConfig,
@@ -41,12 +40,9 @@ class TestNumericalErrorPaths:
         # the old policy assigns (numerically) zero mass to item 2
         old = ToyPolicy(vocab, [0.0, 0.0], [800.0, 800.0, 0.0])
         new = ToyPolicy(vocab)
-        group = CandidateGroup(
-            indices=np.array([2, 0]),
-            advantages=np.array([1.0, -1.0]),
-        )
+        indices, advantages = np.array([2, 0]), np.array([1.0, -1.0])
         with pytest.raises(NumericalError, match="zero probability"):
-            surrogate_objective(new, old, new, group, q, ref, 0.2, 0.0)
+            surrogate_objective(new, old, new, indices, advantages, q, ref, 0.2, 0.0)
 
     def test_rollout_rejects_fully_underflowed_mask(self):
         e = np.eye(4)

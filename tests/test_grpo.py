@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from divset import (
-    CandidateGroup,
     Embedding,
     EmbeddingSet,
     GrpoConfig,
@@ -26,7 +25,7 @@ from divset import (
     train,
 )
 from divset import grpo
-from divset.grpo import context_features, exact_kl, policy_entropy, save_training_log
+from divset.grpo import context_features, policy_entropy, save_training_log
 from divset.simulation import DEFAULT_WORLD, make_world
 
 
@@ -37,6 +36,19 @@ def rand_unit(rng, d):
 
 def unit_set(rng, n, d, prefix="c"):
     return EmbeddingSet([Embedding(f"{prefix}{i}", rand_unit(rng, d)) for i in range(n)])
+
+
+def copy_policy(policy):
+    return ToyPolicy(policy.vocabulary, policy.theta.copy(), policy.bias.copy())
+
+
+def exact_kl(p, q):
+    """Discrete KL(p || q), the oracle of the KL the surrogate computes;
+    infinite when q has a zero where p does not."""
+    support = p > 0
+    with np.errstate(divide="ignore"):
+        terms = p[support] * (np.log(p[support]) - np.log(q[support]))
+    return float(terms.sum())
 
 
 def make_context(seed=0, n_vocab=8, d=6, n_ref=2):
@@ -81,12 +93,12 @@ class TestPolicyProbs:
         np.testing.assert_array_equal(f[:, 1], 0.0)
 
 
-GROUP = CandidateGroup(indices=np.array([0, 1]), advantages=np.array([1.0, -1.0]))
+GROUP = np.array([0, 1]), np.array([1.0, -1.0])
 QUERY_ENTRY_POINTS = {
     "policy_probs": policy_probs,
     "sample_group": lambda policy, query, ref: sample_group(policy, query, ref, 4, rng_seed=0),
-    "surrogate_objective": lambda p, query, ref: surrogate_objective(p, p, p, GROUP, query, ref, 0.2, 0.04),
-    "surrogate_gradient": lambda p, query, ref: surrogate_gradient(p, p, p, GROUP, query, ref, 0.2, 0.04),
+    "surrogate_objective": lambda p, query, ref: surrogate_objective(p, p, p, *GROUP, query, ref, 0.2, 0.04),
+    "surrogate_gradient": lambda p, query, ref: surrogate_gradient(p, p, p, *GROUP, query, ref, 0.2, 0.04),
     "rollout_policy": lambda policy, query, ref: rollout_policy(policy, query, k=2),
 }
 
@@ -107,21 +119,21 @@ class TestSampleGroup:
         policy = ToyPolicy(vocab)
         a = sample_group(policy, query, ref, 4, rng_seed=99)
         b = sample_group(policy, query, ref, 4, rng_seed=99)
-        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(a, b)
 
     def test_point_mass_policy(self):
         _, vocab, query, ref = make_context()
         bias = np.zeros(len(vocab))
         bias[3] = 60.0
-        group = sample_group(ToyPolicy(vocab, bias=bias), query, ref, 6, rng_seed=1)
-        assert np.all(group.indices == 3)
+        indices = sample_group(ToyPolicy(vocab, bias=bias), query, ref, 6, rng_seed=1)
+        assert np.all(indices == 3)
 
     def test_uniform_two_item_frequency(self):
         q = Embedding("q", [1.0, 0.0])
         vocab = EmbeddingSet([Embedding("a", [1.0, 0.0]), Embedding("b", [0.0, 1.0])])
         # theta = 0 so both logits are equal regardless of features
-        group = sample_group(ToyPolicy(vocab), q, ReferenceSet.empty(q), 10_000, rng_seed=7)
-        freq = float(np.mean(group.indices == 0))
+        indices = sample_group(ToyPolicy(vocab), q, ReferenceSet.empty(q), 10_000, rng_seed=7)
+        freq = float(np.mean(indices == 0))
         assert abs(freq - 0.5) < 0.02
 
     def test_group_too_small_rejected(self):
@@ -161,19 +173,18 @@ def make_surrogate_instance(seed, n_vocab=8, d=6, spread=0.5):
     new = ToyPolicy(vocab, rng.normal(0, spread, 2), rng.normal(0, spread, n_vocab))
     old = ToyPolicy(vocab, new.theta + rng.normal(0, 0.15, 2), new.bias + rng.normal(0, 0.15, n_vocab))
     ref_policy = ToyPolicy(vocab, rng.normal(0, spread, 2), rng.normal(0, spread, n_vocab))
-    group = sample_group(old, query, ref, 8, rng_seed=int(rng.integers(2**31)))
-    group.rewards = rng.normal(0, 1, 8)
-    group.advantages = compute_advantages(group.rewards)
-    return rng, vocab, query, ref, new, old, ref_policy, group
+    indices = sample_group(old, query, ref, 8, rng_seed=int(rng.integers(2**31)))
+    advantages = compute_advantages(rng.normal(0, 1, 8))
+    return rng, vocab, query, ref, new, old, ref_policy, indices, advantages
 
 
 class TestSurrogateObjective:
     def test_identical_policies_zero_objective(self):
-        _, vocab, query, ref, new, old, ref_policy, group = make_surrogate_instance(11)
-        policy = new.copy()
-        value = surrogate_objective(policy, policy, policy, group, query, ref, 0.2, 0.1)
+        _, vocab, query, ref, new, old, ref_policy, indices, advantages = make_surrogate_instance(11)
+        policy = copy_policy(new)
+        value = surrogate_objective(policy, policy, policy, indices, advantages, query, ref, 0.2, 0.1)
         # ratios are 1 and inside the clip band, KL is 0, advantages are normalized
-        np.testing.assert_allclose(value, group.advantages.mean(), atol=1e-12)
+        np.testing.assert_allclose(value, advantages.mean(), atol=1e-12)
         np.testing.assert_allclose(value, 0.0, atol=1e-12)
 
     def test_clip_arithmetic_positive_advantage(self):
@@ -186,23 +197,16 @@ class TestSurrogateObjective:
 
     def test_matches_direct_formula(self):
         for seed in range(5):
-            _, vocab, query, ref, new, old, ref_policy, group = make_surrogate_instance(seed)
+            _, vocab, query, ref, new, old, ref_policy, indices, adv = make_surrogate_instance(seed)
             eps, beta = 0.2, 0.07
-            value = surrogate_objective(new, old, ref_policy, group, query, ref, eps, beta)
+            value = surrogate_objective(new, old, ref_policy, indices, adv, query, ref, eps, beta)
             p_new = policy_probs(new, query, ref)
             p_old = policy_probs(old, query, ref)
             p_ref = policy_probs(ref_policy, query, ref)
-            rho = p_new[group.indices] / p_old[group.indices]
-            adv = group.advantages
+            rho = p_new[indices] / p_old[indices]
             expected = np.minimum(rho * adv, np.clip(rho, 1 - eps, 1 + eps) * adv).mean()
             expected -= beta * float(np.sum(p_new * (np.log(p_new) - np.log(p_ref))))
             np.testing.assert_allclose(value, expected, atol=1e-12)
-
-    def test_advantages_required(self):
-        _, vocab, query, ref, new, old, ref_policy, group = make_surrogate_instance(2)
-        group.advantages = None
-        with pytest.raises(ValidationError, match="advantages"):
-            surrogate_objective(new, old, ref_policy, group, query, ref, 0.2, 0.0)
 
 
 class TestExactKl:
@@ -229,19 +233,21 @@ class TestSurrogateGradient:
         h = 1e-5
         while checked < 50:
             seed += 1
-            rng, vocab, query, ref, new, old, ref_policy, group = make_surrogate_instance(seed)
+            rng, vocab, query, ref, new, old, ref_policy, indices, advantages = make_surrogate_instance(seed)
             eps, beta = 0.2, 0.05
             p_new = policy_probs(new, query, ref)
             p_old = policy_probs(old, query, ref)
-            rho = p_new[group.indices] / p_old[group.indices]
+            rho = p_new[indices] / p_old[indices]
             if np.any(np.abs(rho - (1 - eps)) < 1e-3) or np.any(np.abs(rho - (1 + eps)) < 1e-3):
                 continue
-            g_theta, g_bias = surrogate_gradient(new, old, ref_policy, group, query, ref, eps, beta)
+            g_theta, g_bias = surrogate_gradient(
+                new, old, ref_policy, indices, advantages, query, ref, eps, beta
+            )
             analytic = np.concatenate([g_theta, g_bias])
 
             def objective_at(flat):
                 policy = ToyPolicy(vocab, flat[:2], flat[2:])
-                return surrogate_objective(policy, old, ref_policy, group, query, ref, eps, beta)
+                return surrogate_objective(policy, old, ref_policy, indices, advantages, query, ref, eps, beta)
 
             flat0 = np.concatenate([new.theta, new.bias])
             numeric = np.zeros_like(flat0)
@@ -258,20 +264,21 @@ class TestSurrogateGradient:
         # with beta = 0 and new == old, the gradient is the score-function
         # estimator with the group baseline: (1/G) sum A_i grad log pi(a_i)
         for seed in range(10):
-            rng, vocab, query, ref, new, old, ref_policy, group = make_surrogate_instance(seed + 100)
-            policy = new.copy()
-            group = sample_group(policy, query, ref, 8, rng_seed=seed)
-            group.rewards = rng.normal(0, 1, 8)
-            group.advantages = compute_advantages(group.rewards)
-            g_theta, g_bias = surrogate_gradient(policy, policy, ref_policy, group, query, ref, 0.2, 0.0)
+            rng, vocab, query, ref, new, old, ref_policy, _, _ = make_surrogate_instance(seed + 100)
+            policy = copy_policy(new)
+            indices = sample_group(policy, query, ref, 8, rng_seed=seed)
+            advantages = compute_advantages(rng.normal(0, 1, 8))
+            g_theta, g_bias = surrogate_gradient(
+                policy, policy, ref_policy, indices, advantages, query, ref, 0.2, 0.0
+            )
 
             probs = policy_probs(policy, query, ref)
             features = context_features(policy, query, ref)
             expect_logits = np.zeros(len(vocab))
-            for idx, a in zip(group.indices, group.advantages):
+            for idx, a in zip(indices, advantages):
                 onehot = np.zeros(len(vocab))
                 onehot[idx] = 1.0
-                expect_logits += a * (onehot - probs) / group.group_size
+                expect_logits += a * (onehot - probs) / len(indices)
             np.testing.assert_allclose(g_bias, expect_logits, atol=1e-12)
             np.testing.assert_allclose(g_theta, features.T @ expect_logits, atol=1e-12)
 
@@ -345,25 +352,13 @@ class TestTrain:
             assert set(r) == {"iteration", "objective", "mean_reward", "kl", "policy_entropy"}
             assert np.isfinite(list(r.values())).all()
 
-    def test_accepts_world_like_objects(self):
-        class WorldLike:
-            def __init__(self, task):
-                self._task = task
-
-            def training_task(self):
-                return self._task
-
-        task = toy_task(np.random.default_rng(6))
-        policy, _ = train(GrpoConfig(iterations=5, seed=1), WorldLike(task))
-        assert policy.theta.shape == (2,)
-
 
 def reference_train(config, task):
     """train() as the plain GRPO loop: sync a copy of the policy as the old
     policy, keep the all-zero initial policy as the reference, and take the
     objective, gradient and KL from the public surrogate functions."""
     policy = ToyPolicy(task.vocabulary)
-    ref_policy = policy.copy()
+    ref_policy = copy_policy(policy)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     records = []
     for iteration in range(config.iterations):
@@ -372,14 +367,16 @@ def reference_train(config, task):
         chosen = sorted(rng.choice(len(task.exemplars), size=size, replace=False).tolist())
         ref = ReferenceSet(EmbeddingSet([task.exemplars[i] for i in chosen]), task.query)
         group_seed = int(rng.integers(0, 2**63))
-        old = policy.copy()
-        group = sample_group(old, task.query, ref, config.group_size, group_seed)
-        items = [task.vocabulary[int(i)] for i in group.indices]
-        group.rewards = np.array(
+        old = copy_policy(policy)
+        indices = sample_group(old, task.query, ref, config.group_size, group_seed)
+        items = [task.vocabulary[int(i)] for i in indices]
+        rewards = np.array(
             [composite_reward(item, ref, config.lambda_div, config.lambda_rel).composite for item in items]
         )
-        group.advantages = compute_advantages(group.rewards)
-        args = (policy, old, ref_policy, group, task.query, ref, config.clip_epsilon, config.kl_beta)
+        advantages = compute_advantages(rewards)
+        args = (
+            policy, old, ref_policy, indices, advantages, task.query, ref, config.clip_epsilon, config.kl_beta
+        )
         objective = surrogate_objective(*args)
         theta_grad, bias_grad = surrogate_gradient(*args)
         p_new = policy_probs(policy, task.query, ref)
@@ -390,7 +387,7 @@ def reference_train(config, task):
             {
                 "iteration": iteration,
                 "objective": objective,
-                "mean_reward": float(group.rewards.mean()),
+                "mean_reward": float(rewards.mean()),
                 "kl": kl,
                 "policy_entropy": policy_entropy(p_new),
             }

@@ -126,7 +126,7 @@ class TestRewardDirections:
         config = GrpoConfig(lambda_div=0.0, lambda_rel=1.0, iterations=800)
         untrained = ToyPolicy(world.vocabulary)
         for seed in (0, 1, 2):
-            policy, _ = train_policy(replace(config, seed=seed), world)
+            policy, _ = train_policy(replace(config, seed=seed), world.training_task())
             before = world.mode_coverage(
                 rollout_policy(untrained, world.query, 8, mode="greedy-prob", seed=seed).selected.ids()
             )
@@ -153,7 +153,7 @@ class TestSetSizeDiminishingReturns:
         profiles = []
         k = 8
         for seed in range(10):
-            policy, _ = train_policy(replace(config, seed=seed), world)
+            policy, _ = train_policy(replace(config, seed=seed), world.training_task())
             result = rollout_policy(policy, world.query, k=k, mode="greedy-prob", seed=seed)
             running = [
                 vendi_score(result.selected.take(range(t))) for t in range(1, k + 1)
