@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .embeddings import Embedding, EmbeddingSet, load_embeddings
 from .errors import NumericalError, ValidationError, check_number
-from .grpo import GrpoConfig, save_training_log, train
+from .grpo import GrpoConfig, train
 from .kernel import require_unit, require_unit_rows
 from .metrics import metric_report
 from .rewards import (
@@ -37,6 +37,7 @@ from .simulation import (
     DEFAULT_ROLLOUT_MODE,
     DEFAULT_SEEDS,
     DEFAULT_WORLD,
+    METRIC_NAMES,
     SimWorld,
     arm_name,
     check_rollout,
@@ -114,6 +115,20 @@ def _write_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
+def _write_jsonl(records, path: Path) -> None:
+    """Write records as JSON Lines as they come, so a record that fails leaves only the ones before it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _report(args, **parts) -> dict:
+    """A command's report: ``parts`` and a config echoing every parsed flag but --out,
+    unless ``parts`` holds the config (train and simulate give their resolved file)."""
+    flags = {key: value for key, value in vars(args).items() if key not in ("command", "func", "out")}
+    return {"command": args.command, "config": flags, **parts}
+
+
 def _out_path(out: str | None, source: str | None, make_parent: bool = False) -> Path | None:
     """An output file, rejected before any work when it names a directory or the
     command's input file ``source``, or when its directory is missing (with
@@ -139,37 +154,46 @@ def _out_dir(path: Path, out: str) -> Path:
     return path
 
 
-def _artifacts(out: Path, names: tuple[str, ...], config: str | None, csv_path: Path | None = None) -> list[Path]:
+def _artifacts(out: str, names: tuple[str, ...], config: str | None, csv_path: Path | None = None) -> list[Path]:
     """The files ``names`` in the output directory ``out``, each checked before any
-    work like an output naming the input ``config``, and none of them the --csv output."""
-    paths = [_out_path(str(out / name), config, make_parent=True) for name in names]
+    work like an output naming the input ``config``; the --csv output may be none of
+    them, nor ``out`` or one of its parents."""
+    directory = _out_dir(Path(out), out)
+    paths = [_out_path(str(directory / name), config, make_parent=True) for name in names]
     for path in paths:
         if csv_path and path.resolve() == csv_path.resolve():
             raise ValidationError(f"cannot write {csv_path}: it is the artifact {path}")
+    if csv_path and csv_path.resolve() in (directory.resolve(), *directory.resolve().parents):
+        raise ValidationError(f"cannot write {csv_path}: it is the --out directory {out} or one of its parents")
     return paths
 
 
-def _load_query(embeddings: EmbeddingSet, query_id: str) -> Embedding:
-    query = embeddings.get(query_id)
+def _load(args) -> tuple[EmbeddingSet, Embedding]:
+    """The --embeddings file and its --query-id item, checked to be unit-norm."""
+    embeddings = load_embeddings(args.embeddings)
+    query = embeddings.get(args.query_id)
     require_unit(query)
-    return query
+    return embeddings, query
+
+
+def _pool(embeddings: EmbeddingSet, query_id: str) -> EmbeddingSet:
+    """Every item but the query, in file order: the eval spectrum depends on row order."""
+    return embeddings.take(i for i, id_ in enumerate(embeddings.ids()) if id_ != query_id)
 
 
 def cmd_score(args) -> int:
     out = _out_path(args.out, args.embeddings)
     check_weights(args.lambda_div, args.lambda_rel)
-    ref_ids = args.ref_id or []
-    for i, ref_id in enumerate(ref_ids):
-        if ref_id in ref_ids[:i]:
+    for i, ref_id in enumerate(args.ref_ids):
+        if ref_id in args.ref_ids[:i]:
             raise ValidationError(f"--ref-id {ref_id!r} is given more than once")
-    embeddings = load_embeddings(args.embeddings)
-    query = _load_query(embeddings, args.query_id)
-    members = embeddings.take(embeddings.index(rid) for rid in ref_ids)
+    embeddings, query = _load(args)
+    members = embeddings.take(embeddings.index(rid) for rid in args.ref_ids)
     require_unit_rows(embeddings)
     ref = ReferenceSet(members, query)
     # every row is scored, the reference rows too, so the stored matrix is not copied
     values = ref.rewards(embeddings.matrix(), args.lambda_div, args.lambda_rel)
-    excluded = set(ref_ids)
+    excluded = set(args.ref_ids)
     rows = []
     for id_, gain, rel, composite in zip(embeddings.ids(), *(a.tolist() for a in values)):
         if id_ in excluded:
@@ -177,19 +201,8 @@ def cmd_score(args) -> int:
         breakdown = RewardBreakdown(gain, rel, composite, args.lambda_div, args.lambda_rel)
         rows.append({"id": id_, **breakdown.to_dict()})
         print(f"{id_}\tcomposite={composite:.8f}\tdiversity_gain={gain:.8f}\trelevance={rel:.8f}")
-    report = {
-        "command": "score",
-        "config": {
-            "embeddings": str(args.embeddings),
-            "query_id": args.query_id,
-            "ref_ids": ref_ids,
-            "lambda_div": args.lambda_div,
-            "lambda_rel": args.lambda_rel,
-        },
-        "candidates": rows,
-    }
     if out:
-        _write_json(report, out)
+        _write_json(_report(args, candidates=rows), out)
     return 0
 
 
@@ -198,30 +211,17 @@ def cmd_select(args) -> int:
     check_weights(args.lambda_div, args.lambda_rel)
     if args.k < 1:
         raise ValidationError(f"--k must be at least 1, got {args.k}")
-    embeddings = load_embeddings(args.embeddings)
-    query = _load_query(embeddings, args.query_id)
-    pool = embeddings.take(i for i, id_ in enumerate(embeddings.ids()) if id_ != args.query_id)
+    embeddings, query = _load(args)
+    pool = _pool(embeddings, args.query_id)
     if args.mode == "greedy":
         result = greedy_select(pool, query, args.k, args.lambda_div, args.lambda_rel).to_report()
     else:
         subset, score = brute_force_select(pool, args.k)
         result = {"selected_ids": subset.ids(), "final_diversity": score}
-    report = {
-        "command": "select",
-        "config": {
-            "embeddings": str(args.embeddings),
-            "query_id": args.query_id,
-            "k": args.k,
-            "mode": args.mode,
-            "lambda_div": args.lambda_div,
-            "lambda_rel": args.lambda_rel,
-        },
-        "result": result,
-    }
     print(f"selected: {' '.join(result['selected_ids'])}")
     print(f"final_diversity: {result['final_diversity']:.8f}")
     if out:
-        _write_json(report, out)
+        _write_json(_report(args, result=result), out)
     return 0
 
 
@@ -230,9 +230,8 @@ def cmd_train(args) -> int:
     world_params, world, grpo, k = _resolve_shared(config)
     rollout_mode = config["rollout_mode"]
     check_rollout(world, k, rollout_mode)
-    out = _out_dir(Path(args.out), args.out)
     config_path, log_path, report_path = _artifacts(
-        out, ("config.json", "training_log.jsonl", "report.json"), args.config
+        args.out, ("config.json", "training_log.jsonl", "report.json"), args.config
     )
     policy, records = train(grpo, world.training_task())
     rollout = rollout_policy(
@@ -246,23 +245,21 @@ def cmd_train(args) -> int:
     )
     evaluation = metric_report(rollout.selected, world.query)
 
-    out.mkdir(parents=True, exist_ok=True)
+    config_path.parent.mkdir(parents=True, exist_ok=True)
     resolved = {**config, "world": world_params, "grpo": grpo.to_dict(), "k": k}
     _write_json(resolved, config_path)
-    save_training_log(records, log_path)
-    _write_json(
-        {
-            "command": "train",
-            "config": resolved,
-            "policy": {"theta": policy.theta.tolist(), "bias": policy.bias.tolist()},
-            "rollout": rollout.to_report(),
-            "metrics": evaluation.to_dict(),
-            "final_mean_reward": records[-1]["mean_reward"] if records else None,
-        },
-        report_path,
+    _write_jsonl(records, log_path)
+    report = _report(
+        args,
+        config=resolved,
+        policy={"theta": policy.theta.tolist(), "bias": policy.bias.tolist()},
+        rollout=rollout.to_report(),
+        metrics=evaluation.to_dict(),
+        final_mean_reward=records[-1]["mean_reward"] if records else None,
     )
+    _write_json(report, report_path)
     print(f"trained {grpo.iterations} iterations; selected: {' '.join(rollout.selected.ids())}")
-    print(f"artifacts written to {out}")
+    print(f"artifacts written to {config_path.parent}")
     return 0
 
 
@@ -274,15 +271,14 @@ def cmd_simulate(args) -> int:
     if not isinstance(seeds, list):
         raise ValidationError(f'config "seeds" must be a list of integers, got {seeds!r}')
     rollout_mode = config["rollout_mode"]
-    out = _out_dir(Path(args.out), args.out)
     csv_path = _out_path(args.csv, args.config, make_parent=True)
     config_path, runs_path, report_path = _artifacts(
-        out, ("config.json", "runs.jsonl", "report.json"), args.config, csv_path
+        args.out, ("config.json", "runs.jsonl", "report.json"), args.config, csv_path
     )
 
     result = run_experiment(world, arms, k=k, seeds=seeds, rollout_mode=rollout_mode, arm_names=names)
 
-    out.mkdir(parents=True, exist_ok=True)
+    config_path.parent.mkdir(parents=True, exist_ok=True)
     resolved = {
         **config,
         "world": world_params,
@@ -293,12 +289,8 @@ def cmd_simulate(args) -> int:
         "k": k,
     }
     _write_json(resolved, config_path)
-    with open(runs_path, "w", encoding="utf-8") as fh:
-        for arm_result in result.arms:
-            for run in arm_result.runs:
-                record = {"arm": arm_result.name, **run.to_dict()}
-                fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
-    _write_json({"command": "simulate", "config": resolved, **result.to_report()}, report_path)
+    _write_jsonl(({"arm": arm.name, **run.to_dict()} for arm in result.arms for run in arm.runs), runs_path)
+    _write_json(_report(args, config=resolved, **result.to_report()), report_path)
     if csv_path:
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         rows = result.csv_rows()
@@ -307,22 +299,19 @@ def cmd_simulate(args) -> int:
             writer.writeheader()
             writer.writerows(rows)
     for arm_result in result.arms:
-        means = {m: round(arm_result.metric_mean(m), 4) for m in ("mode_coverage", "vendi", "mean_alignment")}
+        means = {m: round(arm_result.metric_mean(m), 4) for m in METRIC_NAMES}
         print(f"{arm_result.name}: {means}")
-    print(f"artifacts written to {out}")
+    print(f"artifacts written to {config_path.parent}")
     return 0
 
 
 def cmd_eval(args) -> int:
     out = _out_path(args.out, args.embeddings)
-    embeddings = load_embeddings(args.embeddings)
-    query = _load_query(embeddings, args.query_id)
-    items = embeddings.take(i for i, id_ in enumerate(embeddings.ids()) if id_ != args.query_id)
-    report = metric_report(items, query, args.top_m)
+    embeddings, query = _load(args)
+    report = metric_report(_pool(embeddings, args.query_id), query, args.top_m)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     if out:
-        config = {"embeddings": str(args.embeddings), "query_id": args.query_id, "top_m": args.top_m}
-        _write_json({"command": "eval", "config": config, "metrics": report.to_dict()}, out)
+        _write_json(_report(args, metrics=report.to_dict()), out)
     return 0
 
 
@@ -332,24 +321,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Diversity-aware set selection and policy optimization over embeddings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    embedding_flags = argparse.ArgumentParser(add_help=False)
+    embedding_flags.add_argument("--embeddings", required=True)
+    embedding_flags.add_argument("--query-id", required=True)
+    embedding_flags.add_argument("--out")
+    weight_flags = argparse.ArgumentParser(add_help=False)
+    weight_flags.add_argument("--lambda-div", type=float, default=DEFAULT_LAMBDA_DIV)
+    weight_flags.add_argument("--lambda-rel", type=float, default=DEFAULT_LAMBDA_REL)
 
-    score = sub.add_parser("score", help="composite reward for every non-reference candidate")
-    score.add_argument("--embeddings", required=True)
-    score.add_argument("--query-id", required=True)
-    score.add_argument("--ref-id", action="append", help="reference member id (repeatable)")
-    score.add_argument("--lambda-div", type=float, default=DEFAULT_LAMBDA_DIV)
-    score.add_argument("--lambda-rel", type=float, default=DEFAULT_LAMBDA_REL)
-    score.add_argument("--out")
+    score = sub.add_parser(
+        "score", parents=[embedding_flags, weight_flags], help="composite reward for every non-reference candidate"
+    )
+    score.add_argument(
+        "--ref-id", dest="ref_ids", action="append", default=[], help="reference member id (repeatable)"
+    )
     score.set_defaults(func=cmd_score)
 
-    select = sub.add_parser("select", help="greedy or exhaustive diverse subset selection")
-    select.add_argument("--embeddings", required=True)
-    select.add_argument("--query-id", required=True)
+    select = sub.add_parser(
+        "select", parents=[embedding_flags, weight_flags], help="greedy or exhaustive diverse subset selection"
+    )
     select.add_argument("--k", type=int, required=True)
     select.add_argument("--mode", choices=("greedy", "bruteforce"), default="greedy")
-    select.add_argument("--lambda-div", type=float, default=DEFAULT_LAMBDA_DIV)
-    select.add_argument("--lambda-rel", type=float, default=DEFAULT_LAMBDA_REL)
-    select.add_argument("--out")
     select.set_defaults(func=cmd_select)
 
     train_cmd = sub.add_parser("train", help="train a policy on a simulated world")
@@ -363,11 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--csv", help="also write an arm-by-metric CSV table")
     simulate.set_defaults(func=cmd_simulate)
 
-    eval_cmd = sub.add_parser("eval", help="diversity and alignment metrics for an embedding file")
-    eval_cmd.add_argument("--embeddings", required=True)
-    eval_cmd.add_argument("--query-id", required=True)
+    eval_cmd = sub.add_parser(
+        "eval", parents=[embedding_flags], help="diversity and alignment metrics for an embedding file"
+    )
     eval_cmd.add_argument("--top-m", type=int)
-    eval_cmd.add_argument("--out")
     eval_cmd.set_defaults(func=cmd_eval)
 
     return parser

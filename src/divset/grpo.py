@@ -20,10 +20,8 @@ CONTEXT_TABLE_FLOATS.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -373,10 +371,3 @@ def train(config: GrpoConfig, task: TrainingTask) -> tuple[ToyPolicy, list[dict]
         )
 
     return policy, records
-
-
-def save_training_log(records: list[dict], path: str | Path) -> None:
-    """Write per-iteration records as JSON Lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")

@@ -28,14 +28,27 @@ DEFAULT_LAMBDA_REL = 0.5
 # Weight pairs (lambda_div, lambda_rel) used by the ablation harness.
 LAMBDA_ABLATION_GRID = ((0.9, 0.1), (0.5, 0.5), (0.1, 0.9))
 
+# The most lambda_div + lambda_rel may be. A gain lies in (0, ln 2] and |relevance| <= 1,
+# so |composite| <= lambda_div * ln 2 + lambda_rel <= 1e100. A group of G rewards then has
+# a mean of at most 1e100, squared deviations of at most (2e100)^2 = 4e200 and a sum of
+# those of at most 4e200 * G, finite (below 1.8e308) for any G under 4e107: every reward,
+# group mean and group std is finite. GRPO advantages do not change when the reward is scaled.
+MAX_WEIGHT_SUM = 1e100
+
 
 def check_weights(lambda_div: float, lambda_rel: float) -> None:
-    """Reject reward weights that are negative, NaN, infinite or both zero."""
+    """Reject reward weights that are negative, NaN, infinite, both zero or
+    summing to more than MAX_WEIGHT_SUM."""
     # chained comparisons are False for NaN
     if not (0.0 <= lambda_div < math.inf and 0.0 <= lambda_rel < math.inf):
         raise ValidationError("reward weights lambda_div and lambda_rel must be finite and non-negative")
     if lambda_div == 0 and lambda_rel == 0:
         raise ValidationError("reward weights lambda_div and lambda_rel must not both be zero")
+    if lambda_div + lambda_rel > MAX_WEIGHT_SUM:
+        raise ValidationError(
+            f"reward weights lambda_div and lambda_rel must sum to at most {MAX_WEIGHT_SUM:g}, "
+            f"got {lambda_div!r} + {lambda_rel!r}"
+        )
 
 
 @dataclass

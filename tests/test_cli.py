@@ -115,6 +115,29 @@ def test_non_finite_weight_exits_2(oracle_file, tmp_path, capsys, command, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", WEIGHTED_COMMANDS)
+@pytest.mark.parametrize("value", ["1e200", "1.5e308"])
+def test_weights_over_the_sum_bound_exit_2(oracle_file, tmp_path, capsys, command, value):
+    out = tmp_path / "report.json"
+    argv = [*WEIGHTED_COMMANDS[command], "--embeddings", str(oracle_file), "--query-id", "query"]
+    assert main([*argv, "--lambda-div", value, "--lambda-rel", value, "--out", str(out)]) == 2
+    assert "lambda_div and lambda_rel must sum to at most 1e+100" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["score"], ["select", "--k", "1"], ["eval"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("bad", ["a", "query"])
+def test_overflowing_norm_prints_only_the_error(tmp_path, capsys, argv, bad):
+    vectors = {"query": [1.0, 0.0], "a": [0.0, 1.0], bad: [1e200, 0.0]}
+    path = tmp_path / "emb.jsonl"
+    path.write_text("".join(json.dumps({"id": id_, "vector": v}) + "\n" for id_, v in vectors.items()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--embeddings", str(path), "--query-id", "query"]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == f"error: embedding {bad!r} is not unit-normalized (norm inf)\n"
+
+
 class TestSelect:
     def test_greedy_matches_bruteforce_on_oracle_pool(self, oracle_file, tmp_path):
         greedy_out = tmp_path / "greedy.json"
@@ -397,6 +420,20 @@ def test_non_finite_sigma_exits_2_naming_sigma(tmp_path, capsys, command, litera
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, trainer", [("train", "train"), ("simulate", "run_experiment")])
+@pytest.mark.parametrize("value", [1e200, 1.5e308])
+def test_weights_over_the_sum_bound_rejected_before_training(tmp_path, capsys, monkeypatch, command, trainer, value):
+    monkeypatch.setattr(cli, trainer, lambda *a, **kw: pytest.fail("trained"))
+    weights = {"lambda_div": value, "lambda_rel": value}
+    section = {"grpo": weights} if command == "train" else {"arms": [weights]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"version": 1, "world": SMALL_CONFIG["world"], "k": 3, **section}))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert "lambda_div and lambda_rel must sum to at most 1e+100" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestOutputPaths:
     """Output paths are checked before any work: none may name an input
     file, and train and simulate check theirs before they train."""
@@ -482,6 +519,17 @@ class TestOutputPaths:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run"), "--csv", str(csv_path)]) == 2
         assert f"cannot write {csv_path}: {blocker} is not a directory" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("out, csv_path", [("R", "R"), ("T/sub", "T")])
+    def test_csv_naming_out_or_a_parent_rejected_before_training(self, tmp_path, capsys, monkeypatch, out, csv_path):
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran the experiment"))
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        assert main(["simulate", "--config", str(config), "--out", out, "--csv", csv_path]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {csv_path}: it is the --out directory {out} or one of its parents" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_csv_directory_made_like_out(self, tmp_path, monkeypatch):
         # the README's --out runs/sim --csv runs/sim.csv on a checkout with no runs/

@@ -22,7 +22,7 @@ from divset import (
     surrogate_objective,
 )
 from divset.cli import SIMULATE_DEFAULTS, TRAIN_DEFAULTS, _load_config, _resolve_arms, _resolve_shared, main
-from divset.grpo import save_training_log
+from divset.cli import _write_jsonl
 from divset.kernel import logdet_regularized_gram
 from divset.simulation import DEFAULT_WORLD
 
@@ -120,7 +120,7 @@ class TestTrainingLogFile:
             {"iteration": 1, "objective": -0.05, "mean_reward": 0.5, "kl": 0.01, "policy_entropy": 1.9},
         ]
         path = tmp_path / "log.jsonl"
-        save_training_log(records, path)
+        _write_jsonl(records, path)
         parsed = [json.loads(line) for line in path.read_text().splitlines()]
         assert parsed == records
 

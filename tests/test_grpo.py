@@ -25,7 +25,8 @@ from divset import (
     train,
 )
 from divset import grpo
-from divset.grpo import context_features, policy_entropy, save_training_log
+from divset.cli import _write_jsonl
+from divset.grpo import context_features, policy_entropy
 from divset.simulation import DEFAULT_WORLD, make_world
 
 
@@ -491,7 +492,7 @@ class TestGrpoConfig:
 
     def test_training_log_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError, match="JSON compliant"):
-            save_training_log([{"iteration": 0, "objective": math.nan}], tmp_path / "log.jsonl")
+            _write_jsonl([{"iteration": 0, "objective": math.nan}], tmp_path / "log.jsonl")
 
     @pytest.mark.parametrize(
         "field, value",

@@ -11,11 +11,12 @@ from divset import (
     ReferenceSet,
     ValidationError,
     composite_reward,
+    compute_advantages,
     diversity_score,
     marginal_gain,
     relevance,
 )
-from divset.rewards import LAMBDA_ABLATION_GRID
+from divset.rewards import LAMBDA_ABLATION_GRID, MAX_WEIGHT_SUM
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -208,6 +209,20 @@ class TestCompositeReward:
         q = Embedding("q", [1.0, 0.0])
         with pytest.raises(ValidationError, match="both"):
             composite_reward(Embedding("p", [0.0, 1.0]), ReferenceSet.empty(q), 0.0, 0.0)
+
+    def test_weight_sum_bound(self):
+        # at the bound the rewards, and their group mean and std, are finite and give
+        # the advantages of the unit weights; past it both weights are named
+        rng = np.random.default_rng(59)
+        ref = ReferenceSet(unit_set(rng, 3, 5, "m"), Embedding("q", rand_unit(rng, 5)))
+        rows = unit_set(rng, 8, 5, "x").matrix()
+        half = MAX_WEIGHT_SUM / 2
+        composite = ref.rewards(rows, half, half)[2]
+        assert np.all(np.isfinite(composite))
+        expected = compute_advantages(ref.rewards(rows, 0.5, 0.5)[2])
+        np.testing.assert_allclose(compute_advantages(composite), expected, rtol=1e-9, atol=1e-9)
+        with pytest.raises(ValidationError, match="lambda_div and lambda_rel must sum to at most 1e\\+100"):
+            ref.rewards(rows, MAX_WEIGHT_SUM, MAX_WEIGHT_SUM * 1e-8)
 
 
 class TestReferenceSet:
