@@ -157,12 +157,12 @@ def _out_dir(path: Path, out: str) -> Path:
 def _artifacts(out: str, names: tuple[str, ...], config: str | None, csv_path: Path | None = None) -> list[Path]:
     """The files ``names`` in the output directory ``out``, each checked before any
     work like an output naming the input ``config``; the --csv output may be none of
-    them, nor ``out`` or one of its parents."""
+    them or inside one, nor ``out`` or one of its parents."""
     directory = _out_dir(Path(out), out)
     paths = [_out_path(str(directory / name), config, make_parent=True) for name in names]
     for path in paths:
-        if csv_path and path.resolve() == csv_path.resolve():
-            raise ValidationError(f"cannot write {csv_path}: it is the artifact {path}")
+        if csv_path and path.resolve() in (csv_path.resolve(), *csv_path.resolve().parents):
+            raise ValidationError(f"cannot write {csv_path}: it is the artifact {path} or lies inside it")
     if csv_path and csv_path.resolve() in (directory.resolve(), *directory.resolve().parents):
         raise ValidationError(f"cannot write {csv_path}: it is the --out directory {out} or one of its parents")
     return paths

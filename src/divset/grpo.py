@@ -34,7 +34,8 @@ from .rewards import composite_reward  # noqa: F401
 
 N_FEATURES = 2
 
-# Rewards with spread below this are treated as constant (zero advantages).
+# Rewards whose spread is at most this times their largest magnitude are treated
+# as constant (zero advantages); the test is scale-free, like the advantages.
 ZERO_STD_TOL = 1e-12
 
 # Floats (16 MiB) that train's context table may hold; a new context that would
@@ -134,7 +135,7 @@ def compute_advantages(rewards) -> np.ndarray:
     if r.ndim != 1 or r.size < 2:
         raise ValidationError("advantage normalization needs at least two rewards")
     std = float(r.std())
-    if std < ZERO_STD_TOL:
+    if std <= ZERO_STD_TOL * float(np.abs(r).max()):
         return np.zeros_like(r)
     return (r - r.mean()) / std
 

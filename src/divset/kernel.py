@@ -57,10 +57,11 @@ def build_kernel(set_: EmbeddingSet) -> np.ndarray:
 
 
 def regularized_cholesky(gram: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of G + I for a PSD Gram matrix G; a failure, impossible
-    for valid input, is raised as NumericalError, never replaced by a fallback."""
+    """Lower Cholesky factor of G + I for a PSD Gram matrix G, or for each of a stack
+    of them; a failure, impossible for valid input, is raised as NumericalError,
+    never replaced by a fallback."""
     try:
-        return np.linalg.cholesky(gram + np.eye(gram.shape[0]))
+        return np.linalg.cholesky(gram + np.eye(gram.shape[-1]))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "Cholesky factorization of L + I failed; upstream PSD invariant violated"

@@ -44,11 +44,19 @@ class MetricReport:
 
 
 def _spectrum(set_: EmbeddingSet, metric: str) -> np.ndarray:
-    """Eigenvalues of the cosine Gram matrix, ascending; ``metric`` names the caller."""
-    if len(set_) < 1:
+    """Eigenvalues of the (n, n) cosine Gram matrix, ascending; ``metric`` names the caller.
+    When n > d: n - d zeros, then those of the (d, d) Gram of the row-normalised
+    matrix, which has the same nonzero ones (Friedman & Dieng, arXiv:2210.02410)."""
+    n = len(set_)
+    if n < 1:
         raise ValidationError(f"{metric} requires a non-empty set")
     try:
-        return np.linalg.eigvalsh(build_kernel(set_))
+        if n <= set_.dim:
+            return np.linalg.eigvalsh(build_kernel(set_))
+        require_unit_rows(set_)
+        rows = set_.matrix() / np.linalg.norm(set_.matrix(), axis=1, keepdims=True)
+        gram = rows.T @ rows
+        return np.concatenate([np.zeros(n - set_.dim), np.linalg.eigvalsh((gram + gram.T) / 2.0)])
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition of the similarity matrix failed") from exc
 

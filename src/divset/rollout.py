@@ -22,7 +22,9 @@ import numpy as np
 from .embeddings import Embedding, EmbeddingSet
 from .errors import NumericalError, ValidationError
 from .grpo import ToyPolicy, policy_probs
-from .kernel import build_kernel, logdet_regularized_gram, require_unit_rows
+from .kernel import build_kernel, regularized_cholesky, require_unit_rows
+# unused here, kept for the trace target divset.rollout.logdet_regularized_gram in bench/spans.py
+from .kernel import logdet_regularized_gram  # noqa: F401
 from .rewards import DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL, ReferenceSet, RewardBreakdown, diversity_score
 # unused here, kept for the trace target divset.rollout.composite_reward in bench/spans.py
 from .rewards import composite_reward  # noqa: F401
@@ -34,6 +36,9 @@ BRUTE_FORCE_BUDGET = 1_000_000
 
 # Exhaustive-search scores this close are ties, which go to the smaller id tuple.
 BRUTE_FORCE_TIE_TOL = 1e-9
+
+# Exhaustive search factors this many subsets' blocks in one batched Cholesky.
+BRUTE_FORCE_CHUNK = 4096
 
 
 @dataclass(eq=False)
@@ -163,13 +168,21 @@ def brute_force_select(pool: EmbeddingSet, k: int) -> tuple[EmbeddingSet, float]
         )
     items = pool.take(sorted(range(len(pool)), key=pool.ids().__getitem__))
     gram = build_kernel(items)  # checks unit norms; every subset's kernel is a block of it
+    if k == 0:
+        return items.take(()), 0.0
 
-    best_subset: tuple[int, ...] = ()
+    best_subset: list[int] = []
     best_score = -np.inf
+    subsets = itertools.combinations(range(len(items)), k)
     # subsets come in id-tuple order; a block of the pool Gram can round a
-    # duplicate-swapped tie either way, so only a clear win replaces the best
-    for subset in itertools.combinations(range(len(items)), k):
-        score = logdet_regularized_gram(gram[np.ix_(subset, subset)])
-        if score > best_score + BRUTE_FORCE_TIE_TOL:
-            best_subset, best_score = subset, score
+    # duplicate-swapped tie either way, so only a clear win replaces the best,
+    # and within a chunk the wins are taken in order, not by argmax
+    while (idx := np.fromiter(itertools.islice(subsets, BRUTE_FORCE_CHUNK), dtype=(np.intp, k))).size:
+        factors = regularized_cholesky(gram[idx[:, :, None], idx[:, None, :]])
+        scores = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
+        start = 0
+        while (wins := np.flatnonzero(scores[start:] > best_score + BRUTE_FORCE_TIE_TOL)).size:
+            start += int(wins[0])
+            best_subset, best_score = idx[start].tolist(), scores[start]
+            start += 1
     return items.take(best_subset), float(best_score)

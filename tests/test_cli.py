@@ -498,6 +498,17 @@ class TestOutputPaths:
         assert f"cannot write {csv_path}: it is the artifact {csv_path}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_csv_inside_an_artifact_rejected_before_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran the experiment"))
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        argv = ["simulate", "--config", str(config), "--out", "R", "--csv", "R/report.json/t.csv"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "cannot write R/report.json/t.csv: it is the artifact R/report.json or lies inside it" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("command, trainer", [("train", "train"), ("simulate", "run_experiment")])
     def test_artifact_naming_a_directory_rejected_before_training(
         self, tmp_path, capsys, monkeypatch, command, trainer

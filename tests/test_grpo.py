@@ -168,6 +168,23 @@ class TestComputeAdvantages:
         with pytest.raises(ValidationError, match="two"):
             compute_advantages([1.0])
 
+    def test_constant_test_is_scale_free(self):
+        rewards = np.array([0.25, 0.5, 0.75, 0.5])
+        for scale in (2.0**-60, 1.0, 2.0**40):
+            np.testing.assert_array_equal(compute_advantages(rewards * scale), compute_advantages(rewards))
+        np.testing.assert_array_equal(compute_advantages(np.full(3, 0.1) * 2.0**-60), np.zeros(3))
+
+    def test_tiny_reward_weights_train_like_their_power_of_two_multiple(self):
+        # scaling both weights by 2**-49 scales every reward exactly, so the
+        # advantages, and with them theta and bias, are bitwise unchanged
+        task = make_world(n_modes=3, n_candidates=12, dim=8, sigma=0.1, seed=5).training_task()
+        tiny = 0.5 * 2.0**-49
+        base, _ = train(GrpoConfig(lambda_div=0.5, lambda_rel=0.5, iterations=50, seed=7), task)
+        scaled, _ = train(GrpoConfig(lambda_div=tiny, lambda_rel=tiny, iterations=50, seed=7), task)
+        assert np.any(base.theta != 0.0)
+        np.testing.assert_array_equal(scaled.theta, base.theta)
+        np.testing.assert_array_equal(scaled.bias, base.bias)
+
 
 def make_surrogate_instance(seed, n_vocab=8, d=6, spread=0.5):
     rng, vocab, query, ref = make_context(seed, n_vocab, d)

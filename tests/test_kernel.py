@@ -198,11 +198,12 @@ class TestRepeatedWork:
         assert abs(marginal_gain(candidate, ref) - (diversity_score(union) - diversity_score(members))) <= 1e-12
 
     def test_metric_report_one_eigendecomposition(self, monkeypatch):
+        # n = 12 > d = 6: the spectrum comes from the (d, d) Gram
         rng = np.random.default_rng(5)
         items = unit_set(rng, 12, 6)
         calls = counting(monkeypatch, "eigvalsh")
         report = metric_report(items, Embedding("q", random_unit_rows(rng, 1, 6)[0]), top_m=4)
-        assert calls == [(12, 12)]
+        assert calls == [(6, 6)]
         assert report.vendi == vendi_score(items)
         assert report.truncated_entropy == truncated_spectral_entropy(items, 4)
 

@@ -9,11 +9,13 @@ from divset import (
     Embedding,
     EmbeddingSet,
     ValidationError,
+    build_kernel,
     mean_alignment,
     metric_report,
     truncated_spectral_entropy,
     vendi_score,
 )
+from divset.metrics import EIGENVALUE_TOL
 
 
 def rand_unit(rng, d):
@@ -165,3 +167,64 @@ class TestMetricReport:
         q = Embedding("q", np.eye(2)[0])
         d = metric_report(s, q).to_dict()
         assert set(d) == {"vendi", "truncated_entropy", "mean_alignment", "n"}
+
+
+def nxn_metrics(set_, top_m):
+    """Vendi score and truncated entropy from the eigenvalues of the (n, n)
+    kernel: the oracle for the (d, d) Gram the metrics use when n > d."""
+    spectrum = np.linalg.eigvalsh(build_kernel(set_))
+    weights = spectrum / spectrum.size
+    weights = weights[weights > EIGENVALUE_TOL]
+    top = spectrum[spectrum.size - top_m :]
+    top = top[top > EIGENVALUE_TOL]
+    top = top / top.sum()
+    return float(np.exp(-(weights * np.log(weights)).sum())), float(-(top * np.log(top)).sum())
+
+
+def spectrum_cases(scale=None):
+    """Seeded sets with n < d, n = d, n = d + 1 and n > d, every other one made of
+    duplicates of a few rows, each with top_m of 1, min(n, 8) and n. ``scale``
+    maps a seeded generator and n to per-row factors applied after normalisation."""
+    rng = np.random.default_rng(89)
+    for i in range(80):
+        d = int(rng.integers(1, 11))
+        n = max(1, [d - 1, d, d + 1, int(rng.integers(d + 2, 4 * d + 20))][i % 4])
+        rows = rng.standard_normal((n, d))
+        if i % 2:
+            rows = rows[rng.integers(0, max(1, n // 3), n)]
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        if scale is not None:
+            rows *= scale(rng, n)[:, None]
+        items = EmbeddingSet([Embedding(f"e{j}", row) for j, row in enumerate(rows)])
+        for top_m in sorted({1, min(n, 8), n}):
+            yield items, top_m
+
+
+def largest_metric_difference(cases):
+    worst = 0.0
+    for items, top_m in cases:
+        report = metric_report(items, Embedding("q", np.eye(items.dim)[0]), top_m)
+        vendi, entropy = nxn_metrics(items, top_m)
+        worst = max(worst, abs(report.vendi - vendi), abs(report.truncated_entropy - entropy))
+    return worst
+
+
+class TestSpectrumOracle:
+    """For n > d the spectrum comes from the (d, d) Gram; it agrees with the
+    (n, n) kernel's."""
+
+    def test_rows_normalised_by_division_agree(self):
+        assert largest_metric_difference(spectrum_cases()) <= 1e-12
+
+    def test_golden_sized_pool_agrees(self):
+        rows = np.random.default_rng(97).standard_normal((199, 16))
+        items = EmbeddingSet([Embedding(f"e{j}", row / np.linalg.norm(row)) for j, row in enumerate(rows)])
+        assert largest_metric_difference([(items, 8), (items, 199)]) <= 1e-12
+
+    def test_rows_at_the_norm_tolerance_agree_to_noise(self):
+        # norms 1 +- 0.999e-9 pass require_unit; the (n, n) kernel, its diagonal
+        # pinned to 1, then holds n - d noise eigenvalues of about 1e-9, above
+        # EIGENVALUE_TOL, which the (d, d) Gram of the renormalised rows leaves
+        # out; these cases differ by up to 1.1e-7
+        cases = spectrum_cases(lambda rng, n: 1.0 + rng.choice([-0.999e-9, 0.999e-9], n))
+        assert largest_metric_difference(cases) <= 1e-6

@@ -20,6 +20,7 @@ from divset import (
     rollout_policy,
     train,
 )
+from divset import rollout
 from divset.kernel import logdet_regularized_gram, unit_gram
 from divset.rollout import BRUTE_FORCE_TIE_TOL
 
@@ -268,23 +269,58 @@ def first_within_tie_tol(pool, k):
     return [items[i].id for i in subsets[best]], float(scores[best])
 
 
+def large_duplicate_pool(seed):
+    """12 to 14 rows drawn from 4 distinct unit vectors, ids shuffled, and k from 2 to 4."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    distinct = unit_set(rng, 4, d).matrix()
+    n = int(rng.integers(12, 15))
+    rows = distinct[rng.integers(0, 4, n)]
+    pool = EmbeddingSet([Embedding(f"p{j:02d}", row) for j, row in zip(rng.permutation(n), rows)])
+    return pool, int(rng.integers(2, 5))
+
+
 def test_ties_on_large_duplicate_pools_go_to_smallest_ids():
     # from about 12 items a subset's block of the pool Gram need not be
     # bitwise its own Gram, so subsets that swap duplicates differ by rounding
     mismatches = []
     for seed in range(40):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, 7))
-        distinct = unit_set(rng, 4, d).matrix()
-        n = int(rng.integers(12, 15))
-        rows = distinct[rng.integers(0, 4, n)]
-        pool = EmbeddingSet([Embedding(f"p{j:02d}", row) for j, row in zip(rng.permutation(n), rows)])
-        k = int(rng.integers(2, 5))
+        pool, k = large_duplicate_pool(seed)
         subset, score = brute_force_select(pool, k)
         expected_ids, expected_score = first_within_tie_tol(pool, k)
         if subset.ids() != expected_ids or abs(score - expected_score) > 1e-12:
             mismatches.append(seed)
     assert mismatches == []
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+class TestBruteForceChunks:
+    """Subsets are scored in chunks of BRUTE_FORCE_CHUNK; with tiny chunks, tied
+    subsets fall on both sides of a boundary, and the sequential tie rule
+    still picks what the per-subset loop picks."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=pools_with_duplicates())
+    @example(case=(oracle_pool(), 2))
+    def test_matches_per_subset_oracle(self, chunk, case):
+        pool, k = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rollout, "BRUTE_FORCE_CHUNK", chunk)
+            subset, score = brute_force_select(pool, k)
+        expected_ids, expected_score = per_subset_brute_force(pool, k)
+        assert subset.ids() == expected_ids
+        assert abs(score - expected_score) <= 1e-12
+
+    def test_large_duplicate_pools_match_per_subset_oracle(self, chunk, monkeypatch):
+        monkeypatch.setattr(rollout, "BRUTE_FORCE_CHUNK", chunk)
+        mismatches = []
+        for seed in range(40):
+            pool, k = large_duplicate_pool(seed)
+            subset, score = brute_force_select(pool, k)
+            expected_ids, expected_score = per_subset_brute_force(pool, k)
+            if subset.ids() != expected_ids or abs(score - expected_score) > 1e-12:
+                mismatches.append(seed)
+        assert mismatches == []
 
 
 class TestBruteForceSelect:
