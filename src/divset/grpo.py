@@ -28,7 +28,7 @@ import numpy as np
 from .embeddings import Embedding, EmbeddingSet
 from .errors import NumericalError, ValidationError, check_number
 from .kernel import require_unit_rows
-from .rewards import DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL, ReferenceSet, check_weights
+from .rewards import DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL, ReferenceSet, basis_rewards, check_weights
 # unused here, kept for the trace target divset.grpo.composite_reward in bench/spans.py
 from .rewards import composite_reward  # noqa: F401
 
@@ -41,6 +41,9 @@ ZERO_STD_TOL = 1e-12
 # Floats (16 MiB) that train's context table may hold; a new context that would
 # pass it is built for its iteration and not stored.
 CONTEXT_TABLE_FLOATS = 2**21
+
+# The per-iteration values of a training log, after its iteration number.
+LOG_FIELDS = ("objective", "mean_reward", "kl", "policy_entropy")
 
 
 @dataclass(eq=False)
@@ -94,16 +97,28 @@ def context_features(policy: ToyPolicy, query: Embedding, ref: ReferenceSet) -> 
     return f
 
 
-def _softmax(features: np.ndarray, policy: ToyPolicy) -> np.ndarray:
-    logits = features @ policy.theta + policy.bias
-    shifted = logits - np.max(logits)
+def _softmax(features: np.ndarray, theta: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Policy probabilities of (N, F) features under (F,) theta and (N,) bias,
+    or of a stack of R of each, along the last axis."""
+    logits = (features @ theta[..., None])[..., 0] + bias
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def policy_probs(policy: ToyPolicy, query: Embedding, ref: ReferenceSet) -> np.ndarray:
     """Softmax action distribution over the vocabulary in the given context."""
-    return _softmax(context_features(policy, query, ref), policy)
+    return _softmax(context_features(policy, query, ref), policy.theta, policy.bias)
+
+
+def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Indices drawn from each probability row by (..., G) uniforms with the
+    inverse-cdf rule of Generator.choice, so that uniforms from
+    default_rng(seed).random(G) give choice(N, G, p=probs) on that seed."""
+    cdf = probs.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    # cdf.searchsorted(u, side="right") on each row: the number of cdf entries <= u
+    return (cdf[..., None, :] <= uniforms[..., None]).sum(axis=-1)
 
 
 def sample_group(
@@ -115,68 +130,83 @@ def sample_group(
 ) -> np.ndarray:
     """The (G,) int array of G vocabulary indices drawn i.i.d. (with
     replacement) from the policy; deterministic for a fixed seed."""
-    return _draw_group(policy_probs(policy, query, ref), group_size, rng_seed)
-
-
-def _draw_group(probs: np.ndarray, group_size: int, rng_seed: int) -> np.ndarray:
     if group_size < 2:
         raise ValidationError(f"group size must be at least 2, got {group_size}")
-    rng = np.random.default_rng(rng_seed)
-    return rng.choice(len(probs), size=group_size, replace=True, p=probs)
+    return _draw(policy_probs(policy, query, ref), np.random.default_rng(rng_seed).random(group_size))
 
 
 def compute_advantages(rewards) -> np.ndarray:
-    """Group-normalized advantages (r - mean) / std, population std.
+    """Group-normalized advantages (r - mean) / std along the last axis,
+    population std, so a stack of groups gives each row its own.
 
     A group with (numerically) constant rewards gets all-zero advantages
     instead of dividing by zero.
     """
     r = np.asarray(rewards, dtype=float)
-    if r.ndim != 1 or r.size < 2:
+    if r.ndim == 0 or r.shape[-1] < 2:
         raise ValidationError("advantage normalization needs at least two rewards")
-    std = float(r.std())
-    if std <= ZERO_STD_TOL * float(np.abs(r).max()):
-        return np.zeros_like(r)
-    return (r - r.mean()) / std
+    # the steps of np.mean and np.std, without their per-call overhead
+    deviation = r - r.sum(axis=-1, keepdims=True) / r.shape[-1]
+    std = np.sqrt((deviation * deviation).sum(axis=-1, keepdims=True) / r.shape[-1])
+    constant = std <= ZERO_STD_TOL * np.abs(r).max(axis=-1, keepdims=True)
+    return np.divide(deviation, std, out=np.zeros_like(r), where=~constant)
 
 
-def policy_entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats of a probability vector."""
-    support = p > 0
-    return float(-(p[support] * np.log(p[support])).sum())
+def _support_sum(terms: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """The (R,) sums of (R, N) terms over their support. A row with an exact
+    zero outside the support sums only its supported entries, as a compressed
+    row: zeros in numpy's pairwise summation would regroup the sum."""
+    total = terms.sum(axis=-1)
+    if not support.all():
+        for r in np.flatnonzero(~support.all(axis=-1)):
+            total[r] = terms[r][support[r]].sum()
+    return total
 
 
-def _clipped_surrogate(features, p_new, p_old, p_ref, indices, advantages, clip_epsilon, kl_beta):
-    """(objective, KL(p_new || p_ref), theta grad, bias grad) from one context's and one group's arrays."""
-    sampled_old = p_old[indices]
-    if np.any(sampled_old == 0.0):
+def _clipped_surrogate(features, p_new, p_old, log_p_ref, indices, advantages, clip_epsilon, kl_beta):
+    """(objective, KL(p_new || p_ref), entropy of p_new, theta grad, bias grad),
+    each with a leading run axis, of R runs: (R, N, F) features, (R, N)
+    policies, log p_ref as (R, N) or one (N,) row, (R, G) groups and (R,)
+    clip_epsilon and kl_beta."""
+    runs, group_size = indices.shape
+    n = p_new.shape[-1]
+    flat = indices + np.arange(0, runs * n, n)[:, None]  # the group's items in the flattened (R, N) arrays
+    sampled_old = p_old.reshape(-1)[flat]
+    if not sampled_old.all():
         raise NumericalError("old policy assigns zero probability to a sampled action")
-    ratios = p_new[indices] / sampled_old
+    ratios = p_new.reshape(-1)[flat] / sampled_old
     unclipped = ratios * advantages
-    clipped = np.clip(ratios, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * advantages
-    # s is the per-item log-ratio log p_new - log p_ref; KL = sum p_new * s
+    eps = clip_epsilon[:, None]
+    clipped = np.minimum(np.maximum(ratios, 1.0 - eps), 1.0 + eps) * advantages
+    # log p_new on the support, 0 off it; s = log p_new - log p_ref there, and KL = sum p_new * s
     support = p_new > 0
-    s = np.zeros_like(p_new)
-    with np.errstate(divide="ignore"):
-        s[support] = np.log(p_new[support]) - np.log(p_ref[support])
-    kl = float((p_new[support] * s[support]).sum())
-    objective = float(np.minimum(unclipped, clipped).mean()) - kl_beta * kl
+    log_p_new = np.log(p_new, out=np.zeros_like(p_new), where=support)
+    s = np.subtract(log_p_new, log_p_ref, out=np.zeros_like(p_new), where=support)
+    kl = _support_sum(p_new * s, support)
+    entropy = -_support_sum(p_new * log_p_new, support)
+    objective = np.minimum(unclipped, clipped).sum(axis=-1) / group_size - kl_beta * kl
 
     active = unclipped <= clipped
-    coef = np.where(active, advantages * ratios, 0.0) / indices.size
-    g_logits = np.zeros_like(p_new)
-    np.add.at(g_logits, indices, coef)
-    g_logits -= coef.sum() * p_new
-    if kl_beta != 0.0:
-        g_logits -= kl_beta * p_new * (s - kl)
-    return objective, kl, features.T @ g_logits, g_logits
+    coef = np.where(active, advantages * ratios, 0.0) / group_size
+    # adds each row's coefficients at its indices in group order, as np.add.at would
+    g_logits = np.bincount(flat.ravel(), coef.ravel(), runs * n).reshape(runs, n)
+    g_logits -= coef.sum(axis=-1, keepdims=True) * p_new
+    beta = kl_beta[:, None]
+    g_logits -= np.where(beta != 0.0, beta * p_new * (s - kl[:, None]), 0.0)
+    return objective, kl, entropy, (features.transpose(0, 2, 1) @ g_logits[..., None])[..., 0], g_logits
 
 
 def _surrogate(policy, old, ref_policy, indices, advantages, query, ref, clip_epsilon, kl_beta):
     features = context_features(policy, query, ref)  # one for all three: they share the vocabulary
-    p_new, p_old, p_ref = (_softmax(features, p) for p in (policy, old, ref_policy))
-    indices = np.asarray(indices, dtype=int)
-    return _clipped_surrogate(features, p_new, p_old, p_ref, indices, advantages, clip_epsilon, kl_beta)
+    p_new, p_old, p_ref = (_softmax(features, p.theta, p.bias)[None] for p in (policy, old, ref_policy))
+    with np.errstate(divide="ignore"):  # a zero of p_ref on the support of p_new makes KL infinite
+        log_p_ref = np.log(p_ref)
+    indices = np.asarray(indices, dtype=int)[None]
+    advantages = np.asarray(advantages, dtype=float)[None]
+    objective, _, _, theta_grad, bias_grad = _clipped_surrogate(
+        features[None], p_new, p_old, log_p_ref, indices, advantages, np.array([clip_epsilon]), np.array([kl_beta])
+    )
+    return float(objective[0]), theta_grad[0], bias_grad[0]
 
 
 def surrogate_objective(
@@ -224,7 +254,7 @@ def surrogate_gradient(
     and theta/bias gradients follow by the chain rule through the affine
     logit map.
     """
-    return _surrogate(policy, old, ref_policy, indices, advantages, query, ref, clip_epsilon, kl_beta)[2:]
+    return _surrogate(policy, old, ref_policy, indices, advantages, query, ref, clip_epsilon, kl_beta)[1:]
 
 
 @dataclass
@@ -316,59 +346,98 @@ def train(config: GrpoConfig, task: TrainingTask) -> tuple[ToyPolicy, list[dict]
     normalizes advantages, and takes one gradient-ascent step on the
     surrogate. With one update per group the sampling policy is the current
     one, so every ratio is exactly 1 and clip_epsilon does not change the
-    result.
-
-    Each distinct context (its sorted exemplar indices) gets its ReferenceSet
-    and feature matrix built once and kept in a table of at most
-    CONTEXT_TABLE_FLOATS floats; past that a new context is built, used and
-    dropped. Features do not depend on the parameters, so no result changes.
+    result. This is train_batch on a batch of one run.
 
     Log records carry iteration, objective, mean_reward, kl and
     policy_entropy. The whole run is deterministic given config.seed.
     """
-    policy = ToyPolicy(task.vocabulary)
-    vocabulary = task.vocabulary.matrix()
-    p_ref = np.full(len(task.vocabulary), 1.0 / len(task.vocabulary))  # the all-zero reference policy
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    records: list[dict] = []
-    table: dict[tuple[int, ...], tuple[ReferenceSet, np.ndarray]] = {}
-    table_floats = 0
+    (policy,), log = train_batch([config], task)
+    return policy, log_records(log, 0)
 
-    for iteration in range(config.iterations):
-        key = _iteration_context(task, rng)
-        group_seed = int(rng.integers(0, 2**63))
-        if key in table:
-            ref, features = table[key]
-        else:
-            ref = ReferenceSet(task.exemplars.take(key), task.query)
-            features = context_features(policy, task.query, ref)
-            features.flags.writeable = False
-            # the features plus the reference set's member matrix and its k + 2 basis rows
-            floats = features.size + (2 * len(key) + 2) * task.query.dim
-            if table_floats + floats <= CONTEXT_TABLE_FLOATS:
-                table[key] = ref, features
-                table_floats += floats
-        probs = _softmax(features, policy)
-        indices = _draw_group(probs, config.group_size, group_seed)
-        rewards = ref.rewards(vocabulary[indices], config.lambda_div, config.lambda_rel)[2]
+
+def log_records(log: np.ndarray, run: int) -> list[dict]:
+    """One run's training log records from train_batch's log array."""
+    return [{"iteration": i, **dict(zip(LOG_FIELDS, row[:, run].tolist()))} for i, row in enumerate(log)]
+
+
+def train_batch(configs: list[GrpoConfig], task: TrainingTask) -> tuple[list[ToyPolicy], np.ndarray]:
+    """Train one policy per config on the task, all runs in lockstep with the
+    run as the leading axis of every array; each run is bitwise the run that
+    train(config, task) makes alone. The configs must share group_size and
+    iterations.
+
+    Each run keeps its own random stream for its contexts and group seeds.
+    Each distinct context (its sorted exemplar indices) gets its feature
+    matrix and its reference set's basis, zero-padded to 2 + |exemplars|
+    rows, built once and kept in a table shared by all runs of at most
+    CONTEXT_TABLE_FLOATS floats; past that a new context is built, used and
+    dropped. Features do not depend on the parameters and zero rows change no
+    reward, so no result changes.
+
+    Returns the policies in config order and the (iterations, len(LOG_FIELDS),
+    runs) array of per-iteration log values.
+    """
+    group_size, iterations = configs[0].group_size, configs[0].iterations
+    if any((c.group_size, c.iterations) != (group_size, iterations) for c in configs):
+        raise ValidationError("runs trained in one batch must share group_size and iterations")
+    runs = len(configs)
+    policy = ToyPolicy(task.vocabulary)  # the all-zero policy: it checks the vocabulary and builds features
+    vocabulary = task.vocabulary.matrix()
+    n, dim = vocabulary.shape
+    log_p_ref = np.log(np.full(n, 1.0 / n))  # the all-zero reference policy
+    clip_epsilon, kl_beta, learning_rate, lambda_div, lambda_rel = (
+        np.array([getattr(c, name) for c in configs])
+        for name in ("clip_epsilon", "kl_beta", "learning_rate", "lambda_div", "lambda_rel")
+    )
+    learning_rate, lambda_div, lambda_rel = learning_rate[:, None], lambda_div[:, None], lambda_rel[:, None]
+    rngs = [np.random.default_rng(np.random.SeedSequence(c.seed)) for c in configs]
+    theta = np.zeros((runs, N_FEATURES))
+    bias = np.zeros((runs, n))
+    log = np.empty((iterations, len(LOG_FIELDS), runs))
+
+    # Context slots: run r builds a context the table does not hold in slot r,
+    # and the table's contexts fill the slots after those, as many as the
+    # bound allows and the task can draw. Sizing by the bound alone would
+    # reserve 16 MiB, and numpy asks for huge pages on arrays that large, so
+    # writing one slot could commit 2 MiB.
+    basis_rows = 2 + len(task.exemplars)
+    lo, hi = task.context_sizes or (len(task.exemplars),) * 2
+    drawable = sum(math.comb(len(task.exemplars), size) for size in range(lo, hi + 1))
+    stored = min(CONTEXT_TABLE_FLOATS // (n * N_FEATURES + basis_rows * dim), drawable, runs * iterations)
+    slot_features = np.empty((runs + stored, n, N_FEATURES))
+    slot_basis = np.empty((runs + stored, basis_rows, dim))
+    slot_members = np.empty((runs + stored, 1), dtype=bool)
+    table: dict[tuple[int, ...], int] = {}
+    slots = np.empty(runs, dtype=int)
+    uniforms = np.empty((runs, group_size))
+
+    for iteration in range(iterations):
+        for r, rng in enumerate(rngs):
+            key = _iteration_context(task, rng)
+            np.random.default_rng(int(rng.integers(0, 2**63))).random(out=uniforms[r])
+            slot = table.get(key)
+            if slot is None:
+                slot = runs + len(table) if len(table) < stored else r
+                ref = ReferenceSet(task.exemplars.take(key), task.query)
+                slot_features[slot] = context_features(policy, task.query, ref)
+                slot_basis[slot] = ref.basis(basis_rows)
+                slot_members[slot] = len(key) > 0
+                if slot >= runs:
+                    table[key] = slot
+            slots[r] = slot
+        features = slot_features[slots]
+        probs = _softmax(features, theta, bias)
+        indices = _draw(probs, uniforms)
+        rewards = basis_rewards(vocabulary[indices], slot_basis[slots], slot_members[slots], lambda_div, lambda_rel)[2]
         advantages = compute_advantages(rewards)
         # one update per group: the old policy is the current one, so p_old = p_new
-        objective, kl, theta_grad, bias_grad = _clipped_surrogate(
-            features, probs, probs, p_ref, indices, advantages, config.clip_epsilon, config.kl_beta
+        objective, kl, entropy, theta_grad, bias_grad = _clipped_surrogate(
+            features, probs, probs, log_p_ref, indices, advantages, clip_epsilon, kl_beta
         )
-        if not (np.all(np.isfinite(theta_grad)) and np.all(np.isfinite(bias_grad))):
+        if not (np.isfinite(theta_grad).all() and np.isfinite(bias_grad).all()):
             raise NumericalError(f"non-finite gradient at iteration {iteration}")
-        policy.theta = policy.theta + config.learning_rate * theta_grad
-        policy.bias = policy.bias + config.learning_rate * bias_grad
+        theta += learning_rate * theta_grad
+        bias += learning_rate * bias_grad
+        log[iteration] = objective, rewards.sum(axis=-1) / group_size, kl, entropy
 
-        records.append(
-            {
-                "iteration": iteration,
-                "objective": objective,
-                "mean_reward": float(rewards.mean()),
-                "kl": kl,
-                "policy_entropy": policy_entropy(probs),
-            }
-        )
-
-    return policy, records
+    return [ToyPolicy(task.vocabulary, t.copy(), b.copy()) for t, b in zip(theta, bias)], log

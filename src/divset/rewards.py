@@ -65,12 +65,14 @@ class ReferenceSet:
             raise ValidationError(
                 f"reference members have dimension {self.members.dim}, query has {self.query.dim}"
             )
-        # a candidate v's products with these rows: its query cosine, mean member cosine and z (see rewards)
-        self._basis = self.query.vector[None, :]
         members = self.members.matrix()
+        # a candidate v's products with these rows: its query cosine, mean member cosine (0 without
+        # members) and z (see basis_rewards)
+        self._basis = np.zeros((2 + len(members), self.query.dim))
+        self._basis[0] = self.query.vector
         if len(members):
-            whitened = np.linalg.solve(regularized_cholesky(unit_gram(members)), members)
-            self._basis = np.vstack([self.query.vector, members.mean(axis=0), whitened])
+            self._basis[1] = members.mean(axis=0)
+            self._basis[2:] = np.linalg.solve(regularized_cholesky(unit_gram(members)), members)
 
     @classmethod
     def empty(cls, query: Embedding) -> "ReferenceSet":
@@ -79,22 +81,36 @@ class ReferenceSet:
     def __len__(self) -> int:
         return len(self.members)
 
+    def basis(self, rows: int) -> np.ndarray:
+        """The set's basis for basis_rewards, zero-padded to ``rows`` >= 2 + len(self) rows."""
+        basis = np.zeros((rows, self.query.dim))
+        basis[: len(self._basis)] = self._basis
+        return basis
+
     def rewards(self, rows: np.ndarray, lambda_div: float, lambda_rel: float) -> tuple[np.ndarray, ...]:
         """(gain, relevance, composite) arrays for an (n, d) array of unit rows,
-        whose norms and dimension are the caller's to check.
-
-        A row v's gain, the log det(G + I) it adds to the members', is the log
-        of its Schur complement 2 - |z|^2, z = L^-1 V_S v with L the Cholesky
-        factor of G_S + I. Relevance is the query cosine times the mean member
-        cosine (the bare query cosine without members).
-        """
+        whose norms and dimension are the caller's to check (see basis_rewards)."""
         check_weights(lambda_div, lambda_rel)
-        # einsum, not BLAS: a row gets bitwise the same rewards wherever it sits in rows
-        products = np.einsum("nd,md->nm", rows, self._basis)
-        z = products[:, 2:]
-        gain = np.log(2.0 - np.einsum("ns,ns->n", z, z))
-        rel = products[:, 0] * products[:, 1] if len(self) else products[:, 0]
-        return gain, rel, lambda_div * gain + lambda_rel * rel
+        return basis_rewards(rows, self._basis, len(self) > 0, lambda_div, lambda_rel)
+
+
+def basis_rewards(rows, basis, has_members, lambda_div, lambda_rel) -> tuple[np.ndarray, ...]:
+    """(gain, relevance, composite) arrays for unit rows (..., n, d) against
+    reference-set bases (..., m, d) (ReferenceSet.basis), the leading axes
+    broadcast; has_members and the weights broadcast against (..., n).
+
+    A row v's gain, the log det(G + I) it adds to the members', is the log
+    of its Schur complement 2 - |z|^2, z = L^-1 V_S v with L the Cholesky
+    factor of G_S + I. Relevance is the query cosine times the mean member
+    cosine (the bare query cosine without members). Zero rows padded into a
+    basis change no bit of any reward.
+    """
+    # einsum, not BLAS: a row gets bitwise the same rewards wherever it sits in rows
+    products = np.einsum("...nd,...md->...nm", rows, basis)
+    z = products[..., 2:]
+    gain = np.log(2.0 - np.einsum("...ns,...ns->...n", z, z))
+    rel = products[..., 0] * np.where(has_members, products[..., 1], 1.0)
+    return gain, rel, lambda_div * gain + lambda_rel * rel
 
 
 @dataclass

@@ -18,7 +18,9 @@ import numpy as np
 
 from .embeddings import Embedding, EmbeddingSet, normalize
 from .errors import ValidationError, check_number
-from .grpo import GrpoConfig, TrainingTask, train
+from .grpo import GrpoConfig, TrainingTask, train_batch
+# unused here, kept for the trace target divset.simulation.train in bench/spans.py
+from .grpo import train  # noqa: F401
 from .metrics import mean_alignment, vendi_score
 from .rollout import ROLLOUT_MODES, rollout_policy
 
@@ -215,7 +217,10 @@ def run_experiment(
     Each run trains a fresh policy with the arm's config (seed overridden
     by the run seed), rolls out a k-item selection, and records mode
     coverage, Vendi score and mean query alignment. Runs are independent
-    and the whole experiment is deterministic given seeds and configs.
+    and the whole experiment is deterministic given seeds and configs. The
+    runs that share group_size and iterations (all of them, unless arms
+    differ in those) train in lockstep as one train_batch; each equals
+    train(config, task) on its own.
     """
     if len(arms) < 2:
         raise ValidationError("an experiment needs at least two arms to compare")
@@ -228,22 +233,30 @@ def run_experiment(
         raise ValidationError("arm names must be unique and match the number of arms")
 
     task = world.training_task()
+    configs = [replace(arm, seed=seed) for arm in arms for seed in seeds]
+    batches: dict[tuple[int, int], list[int]] = {}
+    for i, config in enumerate(configs):
+        batches.setdefault((config.group_size, config.iterations), []).append(i)
+    trained = [None] * len(configs)
+    for batch in batches.values():
+        for i, policy in zip(batch, train_batch([configs[i] for i in batch], task)[0]):
+            trained[i] = policy
+    policies = iter(trained)  # in arm, then seed, order
+
     results = []
     for name, arm in zip(names, arms):
         runs = []
         for seed in seeds:
-            config = replace(arm, seed=seed)
-            policy, _ = train(config, task)
             # decorrelate the rollout stream from the training stream
             rollout_seed = int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
             rollout = rollout_policy(
-                policy,
+                next(policies),
                 world.query,
                 k,
                 mode=rollout_mode,
                 seed=rollout_seed,
-                lambda_div=config.lambda_div,
-                lambda_rel=config.lambda_rel,
+                lambda_div=arm.lambda_div,
+                lambda_rel=arm.lambda_rel,
             )
             runs.append(
                 RunRecord(

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from divset import Embedding, EmbeddingSet, cli, save_embeddings
+from divset import Embedding, EmbeddingSet, cli, save_embeddings, simulation
 from divset.cli import main
 
 LN2 = math.log(2)
@@ -289,6 +289,20 @@ class TestSimulate:
         assert len((out / "runs.jsonl").read_text().splitlines()) == 4
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("arm,")
+
+    def test_trains_every_run_in_one_batch(self, tmp_path, monkeypatch):
+        batches = []
+        real = simulation.train_batch
+
+        def recording(configs, task):
+            batches.append(len(configs))
+            return real(configs, task)
+
+        monkeypatch.setattr(simulation, "train_batch", recording)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert batches == [len(SMALL_CONFIG["arms"]) * len(SMALL_CONFIG["seeds"])]
 
     def test_identical_runs_byte_identical(self, tmp_path):
         config = tmp_path / "config.json"

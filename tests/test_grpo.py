@@ -26,8 +26,9 @@ from divset import (
 )
 from divset import grpo
 from divset.cli import _write_jsonl
-from divset.grpo import context_features, policy_entropy
+from divset.grpo import context_features
 from divset.simulation import DEFAULT_WORLD, make_world
+from grpo_oracles import clipped_surrogate, policy_entropy
 
 
 def rand_unit(rng, d):
@@ -174,6 +175,24 @@ class TestComputeAdvantages:
             np.testing.assert_array_equal(compute_advantages(rewards * scale), compute_advantages(rewards))
         np.testing.assert_array_equal(compute_advantages(np.full(3, 0.1) * 2.0**-60), np.zeros(3))
 
+    def test_stack_equals_each_row_bitwise(self):
+        rng = np.random.default_rng(31)
+        rows = rng.normal(0, 3, (6, 8))
+        rows[1] = 0.375  # constant: zero advantages
+        rows[2] = rows[3] * 2.0**-60  # scaled: the same advantages as its unscaled row
+        stack = compute_advantages(rows)
+        assert stack.shape == rows.shape
+        for row, got in zip(rows, stack):
+            assert got.tobytes() == compute_advantages(row).tobytes()
+        np.testing.assert_array_equal(stack[1], np.zeros(8))
+        assert stack[2].tobytes() == stack[3].tobytes()
+        assert compute_advantages(rows[None]).tobytes() == stack.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 1), (2, 3, 1)])
+    def test_stack_of_single_rewards_rejected(self, shape):
+        with pytest.raises(ValidationError, match="advantage normalization needs at least two rewards"):
+            compute_advantages(np.ones(shape))
+
     def test_tiny_reward_weights_train_like_their_power_of_two_multiple(self):
         # scaling both weights by 2**-49 scales every reward exactly, so the
         # advantages, and with them theta and bias, are bitwise unchanged
@@ -299,6 +318,47 @@ class TestSurrogateGradient:
                 expect_logits += a * (onehot - probs) / len(indices)
             np.testing.assert_allclose(g_bias, expect_logits, atol=1e-12)
             np.testing.assert_allclose(g_theta, features.T @ expect_logits, atol=1e-12)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestBatchedSurrogateMatchesOneRowOracle:
+    """_clipped_surrogate takes a stack of runs; each row equals the one-row oracle bit for bit."""
+
+    @staticmethod
+    def rows(underflow):
+        rng, vocab, query, ref = make_context(41, n_vocab=24)
+        features = context_features(ToyPolicy(vocab), query, ref)
+        rows = []
+        for r in range(3):
+            bias = rng.normal(0, 1, len(vocab))
+            if underflow and r == 1:
+                bias[5] = -1e4  # exp underflows: this item's probability is exactly 0
+            new = ToyPolicy(vocab, rng.normal(0, 1, 2), bias)
+            old = ToyPolicy(vocab, new.theta + rng.normal(0, 0.2, 2), new.bias + rng.normal(0, 0.2, len(vocab)))
+            ref_policy = ToyPolicy(vocab, rng.normal(0, 1, 2), rng.normal(0, 1, len(vocab)))
+            p_new, p_old, p_ref = (policy_probs(p, query, ref) for p in (new, old, ref_policy))
+            indices = rng.choice(np.flatnonzero(p_new > 0), size=8)  # never the zero item
+            rows.append((p_new, p_old, p_ref, indices, compute_advantages(rng.normal(0, 1, 8))))
+        return features, rows
+
+    @pytest.mark.parametrize("underflow", [False, True], ids=["positive", "exact-zero"])
+    @pytest.mark.parametrize("kl_beta", [0.0, 0.3])
+    def test_rows_equal_oracle_bitwise(self, underflow, kl_beta):
+        features, rows = self.rows(underflow)
+        assert (rows[1][0] == 0.0).any() == underflow
+        p_new, p_old, p_ref, indices, advantages = (np.stack(part) for part in zip(*rows))
+        epsilon, beta = np.array([0.05, 0.2, 0.5]), np.full(3, kl_beta)
+        objective, kl, entropy, theta_grad, bias_grad = grpo._clipped_surrogate(
+            np.stack([features] * 3), p_new, p_old, np.log(p_ref), indices, advantages, epsilon, beta
+        )
+        for r, (new, old, ref, idx, adv) in enumerate(rows):
+            expected = clipped_surrogate(features, new, old, ref, idx, adv, epsilon[r], kl_beta)
+            got = objective[r], kl[r], theta_grad[r], bias_grad[r]
+            assert all(same_bits(a, b) for a, b in zip(got, expected)), r
+            assert same_bits(entropy[r], policy_entropy(new)), r
 
 
 def toy_task(rng, n_vocab=12, d=8, include_query_item=False, exemplars=None, context_sizes=None):
@@ -482,6 +542,42 @@ class TestTrainMatchesReferenceLoop:
         task = toy_task(np.random.default_rng(24))
         runs = [train(GrpoConfig(iterations=30, clip_epsilon=eps, seed=3), task)[1] for eps in (0.01, 0.9)]
         assert runs[0] == runs[1]
+
+
+class TestTrainBatchMatchesReferenceLoop:
+    """One lockstep batch of mixed configs; every run equals the plain loop bit for bit."""
+
+    CONFIGS = [
+        dict(lambda_div=lambda_div, lambda_rel=lambda_rel, kl_beta=kl_beta, seed=seed)
+        for lambda_div, lambda_rel in ((0.5, 0.5), (0.0, 1.0))
+        for kl_beta in (0.0, 0.3)
+        for seed in (4, 11)
+    ]
+
+    @pytest.mark.parametrize("iterations", [0, 40])
+    @pytest.mark.parametrize("table_floats", [grpo.CONTEXT_TABLE_FLOATS, 0], ids=["table", "no-table"])
+    @pytest.mark.parametrize("context_sizes", [(0, 4), None], ids=["drawn", "whole-pool"])
+    def test_each_run_equals_reference_train(self, monkeypatch, iterations, table_floats, context_sizes):
+        monkeypatch.setattr(grpo, "CONTEXT_TABLE_FLOATS", table_floats)
+        rng = np.random.default_rng(25)
+        exemplars = unit_set(rng, 4 if context_sizes else 1, 8, "x")
+        task = toy_task(rng, exemplars=exemplars, context_sizes=context_sizes)
+        # as in TestTrainMatchesReferenceLoop: (1, 1) on a one-exemplar pool draws nothing
+        oracle_task = task if context_sizes else dataclasses.replace(task, context_sizes=(1, 1))
+        configs = [GrpoConfig(iterations=iterations, learning_rate=0.3, **c) for c in self.CONFIGS]
+        policies, log = grpo.train_batch(configs, task)
+        assert log.shape == (iterations, len(grpo.LOG_FIELDS), len(configs))
+        for run, (config, policy) in enumerate(zip(configs, policies)):
+            expected_policy, expected_records = reference_train(config, oracle_task)
+            assert grpo.log_records(log, run) == expected_records
+            assert same_bits(policy.theta, expected_policy.theta)
+            assert same_bits(policy.bias, expected_policy.bias)
+
+    def test_configs_must_share_group_size_and_iterations(self):
+        task = toy_task(np.random.default_rng(26))
+        for other in (GrpoConfig(group_size=4), GrpoConfig(iterations=5)):
+            with pytest.raises(ValidationError, match="group_size and iterations"):
+                grpo.train_batch([GrpoConfig(), other], task)
 
 
 class TestGrpoConfig:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from divset import GrpoConfig, ValidationError, make_world, run_experiment
+from divset import GrpoConfig, ValidationError, make_world, run_experiment, simulation
 from divset import train as train_policy
 from divset.simulation import DEFAULT_WORLD
 
@@ -107,6 +107,36 @@ class TestRunExperiment:
         rows = result.csv_rows()
         assert len(rows) == 2
         assert "vendi_mean" in rows[0]
+
+    def test_arms_batch_by_group_size_and_iterations_and_equal_per_run_train(self, monkeypatch):
+        world = make_world(**FAST_WORLD)
+        arms = [
+            GrpoConfig(lambda_div=0.5, lambda_rel=0.5, group_size=4, iterations=30),
+            GrpoConfig(lambda_div=0.0, lambda_rel=1.0, group_size=6, iterations=30),
+            GrpoConfig(lambda_div=0.9, lambda_rel=0.1, group_size=4, iterations=30),
+            GrpoConfig(lambda_div=0.1, lambda_rel=0.9, group_size=4, iterations=20),
+        ]
+        batches = []
+        real = simulation.train_batch
+
+        def recording(configs, task):
+            batches.append([(c.lambda_div, c.group_size, c.iterations, c.seed) for c in configs])
+            return real(configs, task)
+
+        monkeypatch.setattr(simulation, "train_batch", recording)
+        result = run_experiment(world, arms, k=3, seeds=[0, 1])
+        assert batches == [
+            [(0.5, 4, 30, 0), (0.5, 4, 30, 1), (0.9, 4, 30, 0), (0.9, 4, 30, 1)],
+            [(0.0, 6, 30, 0), (0.0, 6, 30, 1)],
+            [(0.1, 4, 20, 0), (0.1, 4, 20, 1)],
+        ]
+
+        # the oracle: every run trained alone by train, in arm and seed order
+        def per_run(configs, task):
+            return [train_policy(config, task)[0] for config in configs], None
+
+        monkeypatch.setattr(simulation, "train_batch", per_run)
+        assert result.to_report() == run_experiment(world, arms, k=3, seeds=[0, 1]).to_report()
 
     def test_duplicate_arm_names_rejected(self):
         world = make_world(**FAST_WORLD)
