@@ -14,7 +14,11 @@ import csv
 import json
 import sys
 from dataclasses import fields, replace
+from itertools import compress
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 from .embeddings import Embedding, EmbeddingSet, load_embeddings
 from .errors import NumericalError, ValidationError, check_number
@@ -26,7 +30,6 @@ from .rewards import (
     DEFAULT_LAMBDA_REL,
     LAMBDA_ABLATION_GRID,
     ReferenceSet,
-    RewardBreakdown,
     check_weights,
 )
 # unused here, kept for the trace target divset.cli.composite_reward in bench/spans.py
@@ -111,8 +114,12 @@ def _resolve_arms(arms, grpo: GrpoConfig) -> tuple[list[str], list[GrpoConfig]]:
     return names, configs
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+    path.write_text(_json_text(obj), encoding="utf-8")
 
 
 def _write_jsonl(records, path: Path) -> None:
@@ -188,22 +195,47 @@ def cmd_score(args) -> int:
         if ref_id in args.ref_ids[:i]:
             raise ValidationError(f"--ref-id {ref_id!r} is given more than once")
     embeddings, query = _load(args)
-    members = embeddings.take(embeddings.index(rid) for rid in args.ref_ids)
+    ref_rows = [embeddings.index(rid) for rid in args.ref_ids]
+    members = embeddings.take(ref_rows)
     require_unit_rows(embeddings)
     ref = ReferenceSet(members, query)
     # every row is scored, the reference rows too, so the stored matrix is not copied
-    values = ref.rewards(embeddings.matrix(), args.lambda_div, args.lambda_rel)
-    excluded = set(args.ref_ids)
-    rows = []
-    for id_, gain, rel, composite in zip(embeddings.ids(), *(a.tolist() for a in values)):
-        if id_ in excluded:
-            continue
-        breakdown = RewardBreakdown(gain, rel, composite, args.lambda_div, args.lambda_rel)
-        rows.append({"id": id_, **breakdown.to_dict()})
-        print(f"{id_}\tcomposite={composite:.8f}\tdiversity_gain={gain:.8f}\trelevance={rel:.8f}")
+    values = np.stack(ref.rewards(embeddings.matrix(), args.lambda_div, args.lambda_rel))
+    candidates = np.ones(len(embeddings), dtype=bool)
+    candidates[ref_rows] = False
+    ids = list(compress(embeddings.ids(), candidates.tolist()))
+    values = values[:, candidates]
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        raise NumericalError(f"candidate {ids[int(np.argmin(finite))]!r} has a non-finite reward")
+    gains, rels, composites = values.tolist()
+    print(
+        "".join(
+            f"{id_}\tcomposite={composite:.8f}\tdiversity_gain={gain:.8f}\trelevance={rel:.8f}\n"
+            for id_, gain, rel, composite in zip(ids, gains, rels, composites)
+        ),
+        end="",
+    )
     if out:
-        _write_json(_report(args, candidates=rows), out)
+        out.write_text(_score_report(args, ids, gains, rels, composites), encoding="utf-8")
     return 0
+
+
+def _score_report(args, ids: list[str], gains: list[float], rels: list[float], composites: list[float]) -> str:
+    """The score report, byte for byte as _write_json renders it, its candidate rows
+    written from one template: json.dumps writes a finite float with float.__repr__
+    and a string with encode_basestring_ascii, its keys sorted, indented by 2."""
+    text = _json_text(_report(args, candidates=[]))
+    if not ids:
+        return text
+    row = (
+        '    {\n      "composite": %r,\n      "diversity_gain": %r,\n      "id": %s,\n'
+        f'      "lambda_div": {args.lambda_div!r},\n      "lambda_rel": {args.lambda_rel!r},\n'
+        '      "relevance": %r\n    }'
+    )
+    rows = ",\n".join([row % values for values in zip(composites, gains, map(encode_basestring_ascii, ids), rels)])
+    # "candidates" sorts first, so the report's only bare '"candidates": []' is its key
+    return text.replace('"candidates": []', '"candidates": [\n' + rows + "\n  ]", 1)
 
 
 def cmd_select(args) -> int:

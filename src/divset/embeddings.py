@@ -22,6 +22,41 @@ from .errors import ValidationError
 ZERO_NORM_TOL = 1e-12
 
 
+def _checked_vector(id_: str, vector) -> np.ndarray:
+    """``vector`` as a float array, once it is one-dimensional, non-empty and finite."""
+    try:
+        vec = np.asarray(vector, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"embedding {id_!r}: vector must be an array of numbers") from exc
+    if vec.ndim != 1 or vec.size < 1:
+        raise ValidationError(f"embedding {id_!r}: vector must be one-dimensional with at least one entry")
+    _require_finite([id_], vec[None, :])
+    return vec
+
+
+def _require_finite(ids: list[str], rows: np.ndarray) -> None:
+    """Reject the first of ``rows`` holding a NaN or an infinity, naming its id."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"embedding {ids[int(np.argmin(finite))]!r}: vector contains non-finite entries")
+
+
+def _written(matrix: np.ndarray, row: int, vector) -> bool:
+    """Whether ``vector`` went into ``matrix[row]`` as the flat vector it is, its
+    finiteness untested: an array of the row's shape, or a list of as many numbers
+    whose first entry is not a list (numpy may broadcast [[0.5]] into a 1-wide row;
+    any other nested list fails the write)."""
+    if (type(vector) is np.ndarray and vector.shape == matrix.shape[1:]) or (
+        type(vector) is list and len(vector) == matrix.shape[1] and type(vector[0]) is not list
+    ):
+        try:
+            matrix[row] = vector
+            return True
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return False
+
+
 @dataclass(eq=False)
 class Embedding:
     id: str
@@ -29,17 +64,7 @@ class Embedding:
     meta: dict[str, str] | None = None
 
     def __post_init__(self) -> None:
-        try:
-            vec = np.asarray(self.vector, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"embedding {self.id!r}: vector must be an array of numbers") from exc
-        if vec.ndim != 1 or vec.size < 1:
-            raise ValidationError(
-                f"embedding {self.id!r}: vector must be one-dimensional with at least one entry"
-            )
-        if not np.all(np.isfinite(vec)):
-            raise ValidationError(f"embedding {self.id!r}: vector contains non-finite entries")
-        self.vector = vec
+        self.vector = _checked_vector(self.id, self.vector)
 
     @property
     def dim(self) -> int:
@@ -75,25 +100,38 @@ class EmbeddingSet:
     @classmethod
     def _from_rows(cls, n: int, rows: Iterable[tuple]) -> EmbeddingSet:
         """A set of n (id, vector, meta) rows in one matrix. Every set is built here,
-        the one place that rejects a mixed dimension or a repeated id."""
+        the one place that rejects a bad vector, a mixed dimension or a repeated id.
+
+        A vector that fits its row is written as it is, and finiteness is tested
+        once over the matrix: at the end or, when a row fails, over the rows up to
+        it, so that the fault reported is still the first in row order."""
         self = super().__new__(cls)
+        ids: list[str] = []
         self._metas: list[dict[str, str] | None] = []
         self._position: dict[str, int] = {}
         matrix = np.zeros((0, 0))
-        for row, (id_, vector, meta) in enumerate(rows):
-            if row == 0:
-                matrix = np.empty((n, vector.size))
-            elif vector.size != matrix.shape[1]:
-                raise ValidationError(
-                    f"embedding {id_!r}: dimension {vector.size} does not match set dimension {matrix.shape[1]}"
-                )
-            if id_ in self._position:
-                raise ValidationError(f"duplicate embedding id {id_!r}")
-            self._position[id_] = row
-            self._metas.append(meta)
-            matrix[row] = vector
+        try:
+            for row, (id_, vector, meta) in enumerate(rows):
+                if not (row and _written(matrix, row, vector)):
+                    vector = _checked_vector(id_, vector)
+                    if row == 0:
+                        matrix = np.empty((n, vector.size))
+                    elif vector.size != matrix.shape[1]:
+                        raise ValidationError(
+                            f"embedding {id_!r}: dimension {vector.size} does not match set dimension {matrix.shape[1]}"
+                        )
+                    matrix[row] = vector
+                ids.append(id_)
+                if id_ in self._position:
+                    raise ValidationError(f"duplicate embedding id {id_!r}")
+                self._position[id_] = row
+                self._metas.append(meta)
+        except ValidationError:
+            _require_finite(ids, matrix[: len(ids)])
+            raise
+        _require_finite(ids, matrix)
         matrix.flags.writeable = False
-        self._ids = list(self._position)
+        self._ids = ids
         self._matrix = matrix
         return self
 
@@ -135,7 +173,8 @@ class EmbeddingSet:
 
 
 def _read_rows(path: str | Path, fh) -> Iterator[tuple]:
-    """The checked (id, vector, meta) of each non-blank line of an open embedding file."""
+    """The (id, vector, meta) of each non-blank line of an open embedding file, every
+    field checked but the vector, which EmbeddingSet._from_rows checks."""
     for lineno, line in enumerate(fh, start=1):
         if not line.strip():
             continue
@@ -159,8 +198,7 @@ def _read_rows(path: str | Path, fh) -> Iterator[tuple]:
         spelled = ("u" in line or "a" in line) and ("true" in line or "false" in line)
         if spelled and isinstance(vector, list) and any(isinstance(x, bool) for x in vector):
             raise ValidationError(f"{path}: line {lineno}: 'vector' must hold numbers, not booleans")
-        item = Embedding(record["id"], vector, meta)
-        yield item.id, item.vector, item.meta
+        yield record["id"], vector, meta
 
 
 def load_embeddings(path: str | Path) -> EmbeddingSet:
@@ -170,7 +208,8 @@ def load_embeddings(path: str | Path) -> EmbeddingSet:
     numbers and an optional string map "meta". Order is preserved; the
     dimension is inferred from the first record. The first malformed record,
     mixed dimension or duplicate id in file order is rejected naming the line
-    or id. Each checked vector goes straight into a matrix sized by a counting pass.
+    or id. Each vector goes straight into a matrix sized by a counting pass,
+    whose finiteness is tested once.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh if fh.seekable() else io.StringIO(fh.read())  # a pipe is read once, into memory
@@ -186,8 +225,8 @@ def save_embeddings(set_: EmbeddingSet, path: str | Path) -> None:
     same binary value), so load(save(s)) is element-wise identical.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for item in set_:
-            record: dict = {"id": item.id, "vector": [float(x) for x in item.vector]}
-            if item.meta is not None:
-                record["meta"] = item.meta
+        for id_, row, meta in zip(set_._ids, set_._matrix, set_._metas):
+            record: dict = {"id": id_, "vector": row.tolist()}
+            if meta is not None:
+                record["meta"] = meta
             fh.write(json.dumps(record) + "\n")

@@ -1,13 +1,16 @@
 """Command-line surface: reports, exit codes, config validation."""
 
+import argparse
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from divset import Embedding, EmbeddingSet, cli, save_embeddings, simulation
+from divset import Embedding, EmbeddingSet, ReferenceSet, cli, save_embeddings, simulation
 from divset.cli import main
 
 LN2 = math.log(2)
@@ -95,6 +98,60 @@ class TestScore:
         path.write_text('{"id": "query", "vector": [1.0, 0.0]}\n{"id": "b", "vector": "ab"}\n')
         assert main(["score", "--embeddings", str(path), "--query-id", "query"]) == 2
         assert "'b'" in capsys.readouterr().err
+
+    def test_only_the_query_as_reference_writes_an_empty_candidate_list(self, tmp_path, capsys):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "query", "vector": [0.6, 0.8]}\n')
+        out = tmp_path / "report.json"
+        argv = ["score", "--embeddings", str(path), "--query-id", "query", "--ref-id", "query", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ""
+        report = cli._report(cli.build_parser().parse_args(argv), candidates=[])
+        assert out.read_text(encoding="utf-8") == json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    def test_non_finite_reward_exits_3_and_writes_nothing(self, oracle_file, tmp_path, capsys, monkeypatch):
+        rewards = ReferenceSet.rewards
+
+        def with_a_nan(self, rows, lambda_div, lambda_rel):
+            gain, rel, composite = rewards(self, rows, lambda_div, lambda_rel)
+            composite = composite.copy()
+            composite[3] = np.nan
+            return gain, rel, composite
+
+        monkeypatch.setattr(ReferenceSet, "rewards", with_a_nan)
+        out = tmp_path / "report.json"
+        argv = ["score", "--embeddings", str(oracle_file), "--query-id", "query", "--ref-id", "a", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "numerical error: candidate 'c' has a non-finite reward\n")
+        assert not out.exists()
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.text(), finite_floats, finite_floats, finite_floats), max_size=6),
+    weights=st.tuples(finite_floats.map(abs), finite_floats.map(abs)),
+    query_id=st.text(),
+)
+@example(
+    rows=[("é\"\\\x00\n\ud800", -0.0, 5e-324, 1e16), ("☃", 1e22, -1e22, 0.1)], weights=(1e16, 5e-324), query_id="q"
+)
+@example(rows=[], weights=(0.5, 0.5), query_id="query")
+def test_score_report_template_is_json_dumps(rows, weights, query_id):
+    args = argparse.Namespace(
+        command="score", embeddings="emb.jsonl", query_id=query_id, out="report.json", func=cli.cmd_score,
+        lambda_div=weights[0], lambda_rel=weights[1], ref_ids=[query_id],
+    )
+    ids, gains, rels, composites = (list(column) for column in zip(*rows)) if rows else ([], [], [], [])
+    candidates = [
+        {"id": id_, "diversity_gain": gain, "relevance": rel, "composite": composite,
+         "lambda_div": weights[0], "lambda_rel": weights[1]}
+        for id_, gain, rel, composite in rows
+    ]
+    expected = json.dumps(cli._report(args, candidates=candidates), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert cli._score_report(args, ids, gains, rels, composites) == expected
 
 
 WEIGHTED_COMMANDS = {

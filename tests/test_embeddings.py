@@ -4,8 +4,11 @@ import json
 import os
 import tracemalloc
 
+import embedding_oracles
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from divset import Embedding, EmbeddingSet, ValidationError, load_embeddings, normalize, save_embeddings
 
@@ -279,3 +282,103 @@ class TestJsonLines:
         path.write_text('{"id": "b", "vector": 5, "meta": {"flag": "true"}}\n')
         with pytest.raises(ValidationError, match="'b': vector must be one-dimensional"):
             load_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "first, nested",
+        [("[0.5]", "[[0.5]]"), ("[1, 2]", "[[1, 2]]"), ("[[0.5]]", "[0.5]")],
+        ids=["one-wide", "two-wide", "first-row"],
+    )
+    def test_nested_vector_rejected(self, tmp_path, first, nested):
+        # a numpy row write may broadcast a nested list into a row it fits; the loader never writes one
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a", "vector": %s}\n{"id": "b", "vector": %s}\n' % (first, nested))
+        bad = "b" if nested.startswith("[[") else "a"
+        with pytest.raises(ValidationError, match=f"'{bad}': vector must be one-dimensional"):
+            load_embeddings(path)
+
+    def test_non_finite_row_reported_before_a_later_duplicate(self, tmp_path):
+        # finiteness is tested over the matrix, yet a NaN at line 2 still comes before a duplicate at line 4
+        path = tmp_path / "emb.jsonl"
+        path.write_text(
+            '{"id": "a", "vector": [1, 0]}\n'
+            '{"id": "nan", "vector": [NaN, 1]}\n'
+            '{"id": "b", "vector": [0, 1]}\n'
+            '{"id": "a", "vector": [1, 1]}\n'
+        )
+        with pytest.raises(ValidationError, match="^embedding 'nan': vector contains non-finite entries$"):
+            load_embeddings(path)
+
+    def test_save_writes_the_bytes_of_the_per_item_writer(self, tmp_path):
+        rng = np.random.default_rng(4)
+        s = EmbeddingSet(
+            [Embedding(f"é{i}", rng.standard_normal(5), meta={"i": str(i)} if i % 2 else None) for i in range(9)]
+        )
+        path = tmp_path / "emb.jsonl"
+        save_embeddings(s, path)
+        assert path.read_text(encoding="utf-8") == embedding_oracles.saved_text(s)
+
+
+# Entries of a vector: numbers, and the values the loader must reject or read like the per-row reader.
+ODD_ENTRIES = ["NaN", "Infinity", "-Infinity", "1e999", "true", "false", "null", '"1"', '"a"', "[0.5]", "1" + "0" * 400]
+ODD_VECTORS = ["5", "0.5", '"ab"', '"12"', '{"x": 1}', "[]", "null"]
+FAULTY_LINES = ["{", "[1, 2]", '{"id": "a"}', '{"vector": [1]}']
+
+
+@st.composite
+def embedding_files(draw):
+    """JSON Lines text of a few records, about one line in three blank, broken or perturbed."""
+    width = draw(st.integers(1, 3))
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-3, 3).map(str)
+    kinds = ["clean"] * 16 + ["entry", "width", "vector", "nested", "blank", "line", "field", "meta"]
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        entries = draw(st.lists(number, min_size=width, max_size=width))
+        if kind == "entry":
+            entries[draw(st.integers(0, width - 1))] = draw(st.sampled_from(ODD_ENTRIES))
+        if kind == "width":
+            entries = entries[:-1] if draw(st.booleans()) else [*entries, "0.5"]
+        vector = "[" + ", ".join(entries) + "]"
+        if kind == "vector":
+            vector = draw(st.sampled_from(ODD_VECTORS))
+        if kind == "nested":
+            vector = "[" + vector + "]"
+        id_ = json.dumps(draw(st.sampled_from(["a", "b", "c", "d", "e", "f", "é", 'q"t'])))
+        if kind == "field":
+            id_ = draw(st.sampled_from(["7", "null", "true"]))
+        meta = draw(st.sampled_from(["", ', "meta": {"k": "v"}', ', "meta": null']))
+        if kind == "meta":
+            meta = ', "meta": {"k": 1}'
+        line = '{"id": %s, "vector": %s%s}' % (id_, vector, meta)
+        if kind == "blank":
+            line = draw(st.sampled_from(["", "   ", "\t"]))
+        if kind == "line":
+            line = draw(st.sampled_from(FAULTY_LINES))
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
+def _outcome(load, path):
+    """What a load returns, or the message of its ValidationError."""
+    try:
+        return load(path)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=embedding_files())
+def test_loader_matches_the_per_row_reader(tmp_path, text):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(text, encoding="utf-8")
+
+    got, expected = _outcome(load_embeddings, path), _outcome(embedding_oracles.load, path)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        matrix, ids, metas = expected
+        assert got.matrix().shape == matrix.shape
+        assert got.matrix().tobytes() == matrix.tobytes()
+        assert got.ids() == ids
+        assert [item.meta for item in got] == metas
