@@ -190,15 +190,21 @@ def _read_rows(path: str | Path, fh) -> Iterator[tuple]:
             or any(not isinstance(k, str) or not isinstance(v, str) for k, v in meta.items())
         ):
             raise ValidationError(f"{path}: line {lineno}: 'meta' must map strings to strings")
-        if not isinstance(record["id"], str):
+        id_ = record["id"]
+        if not isinstance(id_, str):
             raise ValidationError(f"{path}: line {lineno}: 'id' must be a string")
+        if not id_.isascii():
+            try:
+                id_.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, which JSON can escape
+                raise ValidationError(f"{path}: line {lineno}: 'id' is not valid UTF-8 text") from None
         vector = record["vector"]
         # numpy would read true/false as 1/0. Only a line that spells one can hold one,
         # and a line with no "u" and no "a" (a memchr each) spells neither.
         spelled = ("u" in line or "a" in line) and ("true" in line or "false" in line)
         if spelled and isinstance(vector, list) and any(isinstance(x, bool) for x in vector):
             raise ValidationError(f"{path}: line {lineno}: 'vector' must hold numbers, not booleans")
-        yield record["id"], vector, meta
+        yield id_, vector, meta
 
 
 def load_embeddings(path: str | Path) -> EmbeddingSet:

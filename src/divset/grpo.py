@@ -13,6 +13,13 @@ reward against the current reference context, normalize rewards into
 advantages within the group, and ascend the surrogate gradient. Everything
 is deterministic given the config seed.
 
+Each run draws what default_rng(seed) would, made ahead a block of
+iterations at a time by divset.draws: contexts and group seeds by a
+plain-Python replay of Generator over PCG64's raw words, and each group's
+uniforms in one array pass. NEP 19 freezes SeedSequence and PCG64, which the
+array pass computes; the replay of Generator's integers and choice is pinned
+by tests against the installed numpy.
+
 A context is a subset of the exemplar pool, so contexts recur: train builds
 each distinct one's reference set and features once, in a table bounded by
 CONTEXT_TABLE_FLOATS.
@@ -41,6 +48,11 @@ ZERO_STD_TOL = 1e-12
 # Floats (16 MiB) that train's context table may hold; a new context that would
 # pass it is built for its iteration and not stored.
 CONTEXT_TABLE_FLOATS = 2**21
+
+# Group uniforms (32 KiB) that train_batch draws at once: it draws every run's
+# contexts and group seeds for as many iterations as fit, then trains through
+# them. The array pass that makes them works in about five times as much.
+DRAW_BLOCK_FLOATS = 2**12
 
 # The per-iteration values of a training log, after its iteration number.
 LOG_FIELDS = ("objective", "mean_reward", "kl", "policy_entropy")
@@ -328,15 +340,6 @@ class TrainingTask:
                 )
 
 
-def _iteration_context(task: TrainingTask, rng: np.random.Generator) -> tuple[int, ...]:
-    """The sorted exemplar indices of one iteration's context."""
-    if task.context_sizes is None:
-        return tuple(range(len(task.exemplars)))
-    lo, hi = task.context_sizes
-    size = int(rng.integers(lo, hi + 1))
-    return tuple(sorted(rng.choice(len(task.exemplars), size=size, replace=False).tolist()))
-
-
 def train(config: GrpoConfig, task: TrainingTask) -> tuple[ToyPolicy, list[dict]]:
     """Run the full training loop and return the policy plus per-iteration log.
 
@@ -367,12 +370,16 @@ def train_batch(configs: list[GrpoConfig], task: TrainingTask) -> tuple[list[Toy
     iterations.
 
     Each run keeps its own random stream for its contexts and group seeds.
-    Each distinct context (its sorted exemplar indices) gets its feature
-    matrix and its reference set's basis, zero-padded to 2 + |exemplars|
-    rows, built once and kept in a table shared by all runs of at most
-    CONTEXT_TABLE_FLOATS floats; past that a new context is built, used and
-    dropped. Features do not depend on the parameters and zero rows change no
-    reward, so no result changes.
+    For a block of iterations whose group uniforms fit in DRAW_BLOCK_FLOATS,
+    every run's contexts and group seeds come first from draws.context_draws
+    (a replay of default_rng(seed) over PCG64.random_raw), and every group's
+    uniforms from one draws.group_uniforms pass; the block's lockstep loop
+    then makes no generator call. Each distinct context (its sorted exemplar
+    indices) gets its feature matrix and its reference set's basis,
+    zero-padded to 2 + |exemplars| rows, built once and kept in a table
+    shared by all runs of at most CONTEXT_TABLE_FLOATS floats; past that a new
+    context is built, used and dropped. Features do not depend on the
+    parameters and zero rows change no reward, so no result changes.
 
     Returns the policies in config order and the (iterations, len(LOG_FIELDS),
     runs) array of per-iteration log values.
@@ -390,7 +397,6 @@ def train_batch(configs: list[GrpoConfig], task: TrainingTask) -> tuple[list[Toy
         for name in ("clip_epsilon", "kl_beta", "learning_rate", "lambda_div", "lambda_rel")
     )
     learning_rate, lambda_div, lambda_rel = learning_rate[:, None], lambda_div[:, None], lambda_rel[:, None]
-    rngs = [np.random.default_rng(np.random.SeedSequence(c.seed)) for c in configs]
     theta = np.zeros((runs, N_FEATURES))
     bias = np.zeros((runs, n))
     log = np.empty((iterations, len(LOG_FIELDS), runs))
@@ -408,36 +414,60 @@ def train_batch(configs: list[GrpoConfig], task: TrainingTask) -> tuple[list[Toy
     slot_basis = np.empty((runs + stored, basis_rows, dim))
     slot_members = np.empty((runs + stored, 1), dtype=bool)
     table: dict[tuple[int, ...], int] = {}
-    slots = np.empty(runs, dtype=int)
-    uniforms = np.empty((runs, group_size))
 
-    for iteration in range(iterations):
-        for r, rng in enumerate(rngs):
-            key = _iteration_context(task, rng)
-            np.random.default_rng(int(rng.integers(0, 2**63))).random(out=uniforms[r])
-            slot = table.get(key)
-            if slot is None:
-                slot = runs + len(table) if len(table) < stored else r
-                ref = ReferenceSet(task.exemplars.take(key), task.query)
-                slot_features[slot] = context_features(policy, task.query, ref)
-                slot_basis[slot] = ref.basis(basis_rows)
-                slot_members[slot] = len(key) > 0
-                if slot >= runs:
-                    table[key] = slot
-            slots[r] = slot
-        features = slot_features[slots]
-        probs = _softmax(features, theta, bias)
-        indices = _draw(probs, uniforms)
-        rewards = basis_rewards(vocabulary[indices], slot_basis[slots], slot_members[slots], lambda_div, lambda_rel)[2]
-        advantages = compute_advantages(rewards)
-        # one update per group: the old policy is the current one, so p_old = p_new
-        objective, kl, entropy, theta_grad, bias_grad = _clipped_surrogate(
-            features, probs, probs, log_p_ref, indices, advantages, clip_epsilon, kl_beta
-        )
-        if not (np.isfinite(theta_grad).all() and np.isfinite(bias_grad).all()):
-            raise NumericalError(f"non-finite gradient at iteration {iteration}")
-        theta += learning_rate * theta_grad
-        bias += learning_rate * bias_grad
-        log[iteration] = objective, rewards.sum(axis=-1) / group_size, kl, entropy
+    def build(slot: int, key: tuple[int, ...]) -> None:
+        ref = ReferenceSet(task.exemplars.take(key), task.query)
+        slot_features[slot] = context_features(policy, task.query, ref)
+        slot_basis[slot] = ref.basis(basis_rows)
+        slot_members[slot] = len(key) > 0
+
+    # imported here: score, select and eval never train, and importing draws
+    # (compiling it, without a bytecode cache) would lengthen their start-up
+    from .draws import context_draws, group_uniforms
+
+    streams = [context_draws(len(task.exemplars), task.context_sizes, c.seed) for c in configs]
+    block = max(1, DRAW_BLOCK_FLOATS // (runs * group_size))
+    for start in range(0, iterations, block):
+        # every draw of the block's iterations before any of them trains; the
+        # table fills in (iteration, run) order, and a context past its bound
+        # is built in its run's slot at its iteration
+        count = min(block, iterations - start)
+        seeds = []
+        block_slots = np.empty((count, runs), dtype=int)
+        unstored: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(count)]
+        for i in range(count):
+            for r, stream in enumerate(streams):
+                key, seed = next(stream)
+                seeds.append(seed)
+                slot = table.get(key)
+                if slot is None:
+                    if len(table) < stored:
+                        slot = table[key] = runs + len(table)
+                        build(slot, key)
+                    else:
+                        slot = r
+                        unstored[i].append((r, key))
+                block_slots[i, r] = slot
+        block_uniforms = group_uniforms(np.array(seeds, np.uint64).reshape(count, runs), group_size)
+
+        block_iterations = range(start, start + count)
+        for iteration, slots, uniforms, late in zip(block_iterations, block_slots, block_uniforms, unstored):
+            for r, key in late:
+                build(r, key)
+            features = slot_features[slots]
+            probs = _softmax(features, theta, bias)
+            indices = _draw(probs, uniforms)
+            rows, basis, members = vocabulary[indices], slot_basis[slots], slot_members[slots]
+            rewards = basis_rewards(rows, basis, members, lambda_div, lambda_rel)[2]
+            advantages = compute_advantages(rewards)
+            # one update per group: the old policy is the current one, so p_old = p_new
+            objective, kl, entropy, theta_grad, bias_grad = _clipped_surrogate(
+                features, probs, probs, log_p_ref, indices, advantages, clip_epsilon, kl_beta
+            )
+            if not (np.isfinite(theta_grad).all() and np.isfinite(bias_grad).all()):
+                raise NumericalError(f"non-finite gradient at iteration {iteration}")
+            theta += learning_rate * theta_grad
+            bias += learning_rate * bias_grad
+            log[iteration] = objective, rewards.sum(axis=-1) / group_size, kl, entropy
 
     return [ToyPolicy(task.vocabulary, t.copy(), b.copy()) for t, b in zip(theta, bias)], log

@@ -44,6 +44,8 @@ def load(path) -> tuple[np.ndarray, list[str], list]:
             id_ = record["id"]
             if not isinstance(id_, str):
                 raise ValidationError(f"{path}: line {lineno}: 'id' must be a string")
+            if any(0xD800 <= ord(c) <= 0xDFFF for c in id_):
+                raise ValidationError(f"{path}: line {lineno}: 'id' is not valid UTF-8 text")
             vector = record["vector"]
             if isinstance(vector, list) and any(isinstance(x, bool) for x in vector):
                 raise ValidationError(f"{path}: line {lineno}: 'vector' must hold numbers, not booleans")

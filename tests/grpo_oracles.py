@@ -1,6 +1,7 @@
 """One-row GRPO arithmetic: the surrogate, its gradient, the KL and the
-entropy of a single context and group, as plain per-row numpy. The batched
-program code must equal these bit for bit, row by row."""
+entropy of a single context and group, as plain per-row numpy, and one run's
+draws made with numpy's own Generator. The batched program code must equal
+these bit for bit, row by row."""
 
 import numpy as np
 
@@ -37,3 +38,18 @@ def clipped_surrogate(features, p_new, p_old, p_ref, indices, advantages, clip_e
     if kl_beta != 0.0:
         g_logits -= kl_beta * p_new * (s - kl)
     return objective, kl, features.T @ g_logits, g_logits
+
+
+def iteration_context(task, rng):
+    """The sorted exemplar indices of one iteration's context, drawn from a numpy Generator."""
+    if task.context_sizes is None:
+        return tuple(range(len(task.exemplars)))
+    lo, hi = task.context_sizes
+    size = int(rng.integers(lo, hi + 1))
+    return tuple(sorted(rng.choice(len(task.exemplars), size=size, replace=False).tolist()))
+
+
+def run_draws(task, seed, iterations):
+    """One run's (context key, group seed) per iteration, drawn from default_rng(seed)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return [(iteration_context(task, rng), int(rng.integers(0, 2**63))) for _ in range(iterations)]

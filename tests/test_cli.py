@@ -195,6 +195,15 @@ def test_overflowing_norm_prints_only_the_error(tmp_path, capsys, argv, bad):
     assert capsys.readouterr().err == f"error: embedding {bad!r} is not unit-normalized (norm inf)\n"
 
 
+@pytest.mark.parametrize("argv", [["score"], ["select", "--k", "1"]], ids=lambda argv: argv[0])
+def test_lone_surrogate_id_exits_2_naming_the_line(tmp_path, capsys, argv):
+    # printing such an id to a UTF-8 stdout would raise UnicodeEncodeError
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"id": "query", "vector": [1.0, 0.0]}\n{"id": "\\ud800", "vector": [0.0, 1.0]}\n')
+    assert main([*argv, "--embeddings", str(path), "--query-id", "query"]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: line 2: 'id' is not valid UTF-8 text\n")
+
+
 class TestSelect:
     def test_greedy_matches_bruteforce_on_oracle_pool(self, oracle_file, tmp_path):
         greedy_out = tmp_path / "greedy.json"

@@ -154,6 +154,17 @@ class TestJsonLines:
         with pytest.raises(ValidationError, match="'odd'"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("id_", ["\ud800", "a\udfff", "\udc00\ud800"])
+    def test_lone_surrogate_id_rejected_naming_line(self, tmp_path, id_):
+        # a valid JSON escape that no UTF-8 output can hold; a surrogate pair is one character
+        path = tmp_path / "emb.jsonl"
+        path.write_text(
+            '{"id": "\\ud83d\\ude00", "vector": [1.0, 0.0]}\n' + json.dumps({"id": id_, "vector": [0.0, 1.0]}) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError, match="line 2: 'id' is not valid UTF-8 text"):
+            load_embeddings(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('\n{"id": "a", "vector": [1.0, 0.0]}\n   \n{"id": "b", "vector": [0.0, 1.0]}\n\n')
@@ -343,7 +354,7 @@ def embedding_files(draw):
             vector = draw(st.sampled_from(ODD_VECTORS))
         if kind == "nested":
             vector = "[" + vector + "]"
-        id_ = json.dumps(draw(st.sampled_from(["a", "b", "c", "d", "e", "f", "é", 'q"t'])))
+        id_ = json.dumps(draw(st.sampled_from(["a", "b", "c", "d", "e", "f", "é", 'q"t', "\ud800"])))
         if kind == "field":
             id_ = draw(st.sampled_from(["7", "null", "true"]))
         meta = draw(st.sampled_from(["", ', "meta": {"k": "v"}', ', "meta": null']))

@@ -3,9 +3,12 @@ and its gradient, and the training loop."""
 
 import dataclasses
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divset import (
     Embedding,
@@ -24,11 +27,11 @@ from divset import (
     surrogate_objective,
     train,
 )
-from divset import grpo
+from divset import draws, grpo
 from divset.cli import _write_jsonl
 from divset.grpo import context_features
 from divset.simulation import DEFAULT_WORLD, make_world
-from grpo_oracles import clipped_surrogate, policy_entropy
+from grpo_oracles import clipped_surrogate, iteration_context, policy_entropy, run_draws
 
 
 def rand_unit(rng, d):
@@ -440,9 +443,7 @@ def reference_train(config, task):
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     records = []
     for iteration in range(config.iterations):
-        lo, hi = task.context_sizes
-        size = int(rng.integers(lo, hi + 1))
-        chosen = sorted(rng.choice(len(task.exemplars), size=size, replace=False).tolist())
+        chosen = iteration_context(task, rng)
         ref = ReferenceSet(EmbeddingSet([task.exemplars[i] for i in chosen]), task.query)
         group_seed = int(rng.integers(0, 2**63))
         old = copy_policy(policy)
@@ -516,12 +517,7 @@ class TestTrainMatchesReferenceLoop:
 
         monkeypatch.setattr(grpo, "context_features", counting)
         train(config, task)
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-        keys = set()
-        for _ in range(config.iterations):
-            keys.add(grpo._iteration_context(task, rng))
-            rng.integers(0, 2**63)
-        return len(calls), len(keys)
+        return len(calls), len({key for key, _ in run_draws(task, config.seed, config.iterations)})
 
     def test_context_features_at_most_twice_per_iteration(self, monkeypatch):
         task = toy_task(
@@ -542,6 +538,89 @@ class TestTrainMatchesReferenceLoop:
         task = toy_task(np.random.default_rng(24))
         runs = [train(GrpoConfig(iterations=30, clip_epsilon=eps, seed=3), task)[1] for eps in (0.01, 0.9)]
         assert runs[0] == runs[1]
+
+
+# numpy's Generator is the oracle of the replay, but only NEP 19's SeedSequence
+# and PCG64 streams are frozen; a numpy whose Generator draws differently fails
+# the replay tests while the golden digests still pin what divset computes.
+GENERATOR_IS_THE_ORACLE = (
+    "context_draws differs from the installed numpy's Generator, its oracle here; "
+    "the program's own stream is pinned by tests/golden.json"
+)
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+class TestGroupUniformsMatchDefaultRng:
+    """group_uniforms is default_rng(seed).random(G), bit for bit, for every group seed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=12), group_size=st.integers(2, 33))
+    @example(seeds=EDGE_SEEDS, group_size=2)
+    @example(seeds=EDGE_SEEDS, group_size=33)
+    @example(seeds=[0], group_size=8)
+    @example(seeds=[2**32], group_size=8)
+    @example(seeds=[2**63 - 1], group_size=8)
+    def test_array_pass_equals_default_rng(self, seeds, group_size):
+        got = draws.group_uniforms(np.array(seeds, dtype=np.uint64), group_size)
+        expected = np.array([np.random.default_rng(seed).random(group_size) for seed in seeds])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_a_block_of_seeds_keeps_its_shape(self):
+        # one entropy word below 2**32 and two from it on, in an (iterations, runs) block
+        near = [2**32 + k for k in range(-50, 50)]
+        drawn = np.random.default_rng(27).integers(0, 2**63, 9900, dtype=np.uint64).tolist()
+        seeds = np.array(near + drawn, dtype=np.uint64).reshape(2000, 5)
+        got = draws.group_uniforms(seeds, 8)
+        assert got.shape == (2000, 5, 8)
+        expected = np.array([np.random.default_rng(seed).random(8) for seed in seeds.ravel().tolist()])
+        assert got.reshape(-1, 8).tobytes() == expected.tobytes()
+
+
+def pool_task(pool, context_sizes):
+    """A task with an exemplar pool of the given size, for the Generator oracle, which reads only its size."""
+    e = np.eye(2)
+    exemplars = EmbeddingSet([Embedding(f"x{i}", e[i % 2]) for i in range(pool)])
+    return TrainingTask(EmbeddingSet([Embedding("v", e[0])]), Embedding("q", e[1]), exemplars, context_sizes)
+
+
+class TestContextDrawsMatchGenerator:
+    """context_draws replays default_rng(seed)'s contexts and group seeds: 108,000
+    iterations on the small pools, and a pool over 10,000, where choice shuffles
+    the tail of an arange above a drawn size of pool // 50."""
+
+    SEEDS = [*EDGE_SEEDS, 2**64 + 5]
+
+    @pytest.mark.parametrize(
+        "pool, context_sizes",
+        [
+            (0, (0, 0)),
+            (1, (0, 1)),
+            (1, (1, 1)),
+            (3, (0, 3)),
+            (3, (3, 3)),
+            (6, (0, 6)),
+            (6, (6, 6)),
+            (6, (2, 4)),
+            (6, None),
+            (40, (0, 40)),
+            (40, (40, 40)),
+            (40, (0, 3)),
+        ],
+    )
+    def test_replay_equals_generator(self, pool, context_sizes):
+        task = pool_task(pool, context_sizes)
+        for seed in self.SEEDS:
+            replay = list(islice(draws.context_draws(pool, context_sizes, seed), 1500))
+            assert replay == run_draws(task, seed, 1500), f"{GENERATOR_IS_THE_ORACLE} (seed {seed})"
+
+    @pytest.mark.parametrize(
+        "context_sizes, iterations", [((0, 12000), 8), ((230, 250), 40), ((12000, 12000), 4)]
+    )
+    def test_pool_over_10000_equals_generator(self, context_sizes, iterations):
+        task = pool_task(12000, context_sizes)  # Floyd's algorithm up to size 240, a tail shuffle above
+        for seed in self.SEEDS:
+            replay = list(islice(draws.context_draws(12000, context_sizes, seed), iterations))
+            assert replay == run_draws(task, seed, iterations), f"{GENERATOR_IS_THE_ORACLE} (seed {seed})"
 
 
 class TestTrainBatchMatchesReferenceLoop:
@@ -569,6 +648,37 @@ class TestTrainBatchMatchesReferenceLoop:
         assert log.shape == (iterations, len(grpo.LOG_FIELDS), len(configs))
         for run, (config, policy) in enumerate(zip(configs, policies)):
             expected_policy, expected_records = reference_train(config, oracle_task)
+            assert grpo.log_records(log, run) == expected_records
+            assert same_bits(policy.theta, expected_policy.theta)
+            assert same_bits(policy.bias, expected_policy.bias)
+
+    @pytest.mark.parametrize("case", ["three-blocks", "partial-table"])
+    def test_blocks_and_a_partial_table_keep_each_run(self, monkeypatch, case):
+        rng = np.random.default_rng(28)
+        task = toy_task(rng, exemplars=unit_set(rng, 4, 8, "x"), context_sizes=(0, 4))
+        configs = [GrpoConfig(iterations=40, learning_rate=0.3, **c) for c in self.CONFIGS]
+        if case == "three-blocks":
+            # 13 iterations of 8 runs' groups of 8 per block: blocks of 13, 13, 13 and 1
+            monkeypatch.setattr(grpo, "DRAW_BLOCK_FLOATS", 13 * len(configs) * configs[0].group_size)
+        else:
+            # room for 3 of the task's 16 contexts: the rest are built at their iteration
+            per_context = len(task.vocabulary) * grpo.N_FEATURES + (2 + len(task.exemplars)) * task.query.dim
+            monkeypatch.setattr(grpo, "CONTEXT_TABLE_FLOATS", 3 * per_context)
+        blocks, builds = [], []
+        real_uniforms, real_features = draws.group_uniforms, grpo.context_features
+        monkeypatch.setattr(draws, "group_uniforms", lambda *args: blocks.append(1) or real_uniforms(*args))
+        monkeypatch.setattr(grpo, "context_features", lambda *args: builds.append(1) or real_features(*args))
+        policies, log = grpo.train_batch(configs, task)
+        contexts = {key for config in configs for key, _ in run_draws(task, config.seed, 40)}
+        if case == "three-blocks":
+            assert len(blocks) == 4
+            assert len(builds) == len(contexts)
+        else:
+            assert len(blocks) == 1
+            assert len(contexts) > 3
+            assert len(contexts) < len(builds) < 40 * len(configs)
+        for run, (config, policy) in enumerate(zip(configs, policies)):
+            expected_policy, expected_records = reference_train(config, task)
             assert grpo.log_records(log, run) == expected_records
             assert same_bits(policy.theta, expected_policy.theta)
             assert same_bits(policy.bias, expected_policy.bias)
