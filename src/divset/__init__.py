@@ -13,7 +13,6 @@ from .grpo import (
     policy_probs,
     sample_group,
     surrogate_gradient,
-    surrogate_objective,
     train,
 )
 from .kernel import build_kernel
@@ -25,7 +24,6 @@ from .rewards import (
     composite_reward,
     diversity_score,
     marginal_gain,
-    relevance,
 )
 from .rollout import RolloutResult, brute_force_select, greedy_select, rollout_policy
 from .simulation import ExperimentResult, SimWorld, make_world, run_experiment
@@ -58,13 +56,11 @@ __all__ = [
     "metric_report",
     "normalize",
     "policy_probs",
-    "relevance",
     "rollout_policy",
     "run_experiment",
     "sample_group",
     "save_embeddings",
     "surrogate_gradient",
-    "surrogate_objective",
     "train",
     "truncated_spectral_entropy",
     "vendi_score",

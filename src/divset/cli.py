@@ -34,7 +34,7 @@ from .rewards import (
 )
 # unused here, kept for the trace target divset.cli.composite_reward in bench/spans.py
 from .rewards import composite_reward  # noqa: F401
-from .rollout import brute_force_select, greedy_select, rollout_policy
+from .rollout import brute_force_select, check_rollout, greedy_select, rollout_policy
 from .simulation import (
     DEFAULT_K,
     DEFAULT_ROLLOUT_MODE,
@@ -43,7 +43,6 @@ from .simulation import (
     METRIC_NAMES,
     SimWorld,
     arm_name,
-    check_rollout,
     make_world,
     run_experiment,
 )
@@ -261,7 +260,7 @@ def cmd_train(args) -> int:
     config = _load_config(args.config, TRAIN_DEFAULTS)
     world_params, world, grpo, k = _resolve_shared(config)
     rollout_mode = config["rollout_mode"]
-    check_rollout(world, k, rollout_mode)
+    check_rollout(len(world.vocabulary), k, rollout_mode)
     config_path, log_path, report_path = _artifacts(
         args.out, ("config.json", "training_log.jsonl", "report.json"), args.config
     )

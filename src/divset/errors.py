@@ -5,6 +5,7 @@ code 3; everything else is a bug and propagates.
 """
 
 import numbers
+import sys
 
 
 class ValidationError(ValueError):
@@ -20,9 +21,11 @@ class NumericalError(ArithmeticError):
 def check_number(name: str, value, integer: bool = False):
     """Return a real, non-bool config value (as an int when ``integer``), else raise naming it.
 
-    Every integer field is a count or a seed, so it must also be >= 0."""
+    A count or a seed (``integer``) must be >= 0; any other field must be finite as a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     if integer and not ((isinstance(value, numbers.Integral) or float(value).is_integer()) and value >= 0):
         raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
+    if not (integer or -sys.float_info.max <= value <= sys.float_info.max):  # False for NaN
+        raise ValidationError(f"{name} must be finite, got {value!r}")
     return int(value) if integer else value

@@ -208,41 +208,6 @@ def _clipped_surrogate(features, p_new, p_old, log_p_ref, indices, advantages, c
     return objective, kl, entropy, (features.transpose(0, 2, 1) @ g_logits[..., None])[..., 0], g_logits
 
 
-def _surrogate(policy, old, ref_policy, indices, advantages, query, ref, clip_epsilon, kl_beta):
-    features = context_features(policy, query, ref)  # one for all three: they share the vocabulary
-    p_new, p_old, p_ref = (_softmax(features, p.theta, p.bias)[None] for p in (policy, old, ref_policy))
-    with np.errstate(divide="ignore"):  # a zero of p_ref on the support of p_new makes KL infinite
-        log_p_ref = np.log(p_ref)
-    indices = np.asarray(indices, dtype=int)[None]
-    advantages = np.asarray(advantages, dtype=float)[None]
-    objective, _, _, theta_grad, bias_grad = _clipped_surrogate(
-        features[None], p_new, p_old, log_p_ref, indices, advantages, np.array([clip_epsilon]), np.array([kl_beta])
-    )
-    return float(objective[0]), theta_grad[0], bias_grad[0]
-
-
-def surrogate_objective(
-    policy: ToyPolicy,
-    old: ToyPolicy,
-    ref_policy: ToyPolicy,
-    indices: np.ndarray,
-    advantages: np.ndarray,
-    query: Embedding,
-    ref: ReferenceSet,
-    clip_epsilon: float,
-    kl_beta: float,
-) -> float:
-    """Clipped importance-ratio surrogate minus the KL penalty.
-
-    (1/G) sum_i min(rho_i A_i, clip(rho_i, 1-eps, 1+eps) A_i)
-        - beta * KL(pi_theta || pi_ref)
-
-    with rho_i the new/old probability ratio of the sampled action and the
-    KL taken exactly over the vocabulary in the current context.
-    """
-    return _surrogate(policy, old, ref_policy, indices, advantages, query, ref, clip_epsilon, kl_beta)[0]
-
-
 def surrogate_gradient(
     policy: ToyPolicy,
     old: ToyPolicy,
@@ -254,7 +219,13 @@ def surrogate_gradient(
     clip_epsilon: float,
     kl_beta: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of surrogate_objective w.r.t. (theta, bias).
+    """Analytic gradient w.r.t. (theta, bias) of the clipped importance-ratio
+    surrogate minus the KL penalty, _clipped_surrogate on a batch of one run:
+
+        (1/G) sum_i min(rho_i A_i, clip(rho_i, 1-eps, 1+eps) A_i) - beta * KL(pi_theta || pi_ref)
+
+    with rho_i the new/old probability ratio of the sampled action and the
+    KL taken exactly over the vocabulary in the current context.
 
     Each sampled term contributes gradient only while its unclipped value
     is the minimum; where the clipped branch is strictly active the term is
@@ -266,7 +237,15 @@ def surrogate_gradient(
     and theta/bias gradients follow by the chain rule through the affine
     logit map.
     """
-    return _surrogate(policy, old, ref_policy, indices, advantages, query, ref, clip_epsilon, kl_beta)[1:]
+    features = context_features(policy, query, ref)  # one for all three: they share the vocabulary
+    p_new, p_old, p_ref = (_softmax(features, p.theta, p.bias)[None] for p in (policy, old, ref_policy))
+    with np.errstate(divide="ignore"):  # a zero of p_ref on the support of p_new makes KL infinite
+        log_p_ref = np.log(p_ref)
+    group = np.asarray(indices, dtype=int)[None], np.asarray(advantages, dtype=float)[None]
+    *_, theta_grad, bias_grad = _clipped_surrogate(
+        features[None], p_new, p_old, log_p_ref, *group, np.array([clip_epsilon]), np.array([kl_beta])
+    )
+    return theta_grad[0], bias_grad[0]
 
 
 @dataclass
@@ -274,8 +253,8 @@ class GrpoConfig:
     """Hyperparameters of one training run; every field is validated.
 
     train() takes one update per group, so every ratio is exactly 1 and
-    clip_epsilon cannot change its output; it matters only to the surrogate
-    functions called with a distinct old policy.
+    clip_epsilon cannot change its output; it matters only to
+    surrogate_gradient called with a distinct old policy.
     """
 
     group_size: int = 8
@@ -297,10 +276,10 @@ class GrpoConfig:
             raise ValidationError(
                 f"clip_epsilon must lie in the open interval (0, 1), got {self.clip_epsilon}"
             )
-        if not 0 <= self.kl_beta < math.inf:
-            raise ValidationError(f"kl_beta must be finite and >= 0, got {self.kl_beta}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.kl_beta < 0:
+            raise ValidationError(f"kl_beta must be >= 0, got {self.kl_beta}")
+        if self.learning_rate <= 0:
+            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
         check_weights(self.lambda_div, self.lambda_rel)
 
     def to_dict(self) -> dict:
@@ -363,6 +342,7 @@ def log_records(log: np.ndarray, run: int) -> list[dict]:
     return [{"iteration": i, **dict(zip(LOG_FIELDS, row[:, run].tolist()))} for i, row in enumerate(log)]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite value, rejected below
 def train_batch(configs: list[GrpoConfig], task: TrainingTask) -> tuple[list[ToyPolicy], np.ndarray]:
     """Train one policy per config on the task, all runs in lockstep with the
     run as the leading axis of every array; each run is bitwise the run that
@@ -382,7 +362,7 @@ def train_batch(configs: list[GrpoConfig], task: TrainingTask) -> tuple[list[Toy
     parameters and zero rows change no reward, so no result changes.
 
     Returns the policies in config order and the (iterations, len(LOG_FIELDS),
-    runs) array of per-iteration log values.
+    runs) array of per-iteration log values. A diverged run raises NumericalError.
     """
     group_size, iterations = configs[0].group_size, configs[0].iterations
     if any((c.group_size, c.iterations) != (group_size, iterations) for c in configs):
@@ -393,7 +373,7 @@ def train_batch(configs: list[GrpoConfig], task: TrainingTask) -> tuple[list[Toy
     n, dim = vocabulary.shape
     log_p_ref = np.log(np.full(n, 1.0 / n))  # the all-zero reference policy
     clip_epsilon, kl_beta, learning_rate, lambda_div, lambda_rel = (
-        np.array([getattr(c, name) for c in configs])
+        np.array([getattr(c, name) for c in configs], dtype=float)  # a JSON integer past int64 makes no object array
         for name in ("clip_epsilon", "kl_beta", "learning_rate", "lambda_div", "lambda_rel")
     )
     learning_rate, lambda_div, lambda_rel = learning_rate[:, None], lambda_div[:, None], lambda_rel[:, None]
@@ -464,10 +444,13 @@ def train_batch(configs: list[GrpoConfig], task: TrainingTask) -> tuple[list[Toy
             objective, kl, entropy, theta_grad, bias_grad = _clipped_surrogate(
                 features, probs, probs, log_p_ref, indices, advantages, clip_epsilon, kl_beta
             )
-            if not (np.isfinite(theta_grad).all() and np.isfinite(bias_grad).all()):
-                raise NumericalError(f"non-finite gradient at iteration {iteration}")
             theta += learning_rate * theta_grad
             bias += learning_rate * bias_grad
             log[iteration] = objective, rewards.sum(axis=-1) / group_size, kl, entropy
 
+    # a non-finite parameter stays non-finite, so one check at the end finds a diverged run; as
+    # |features| <= 1, a finite 4 (|theta|_1 + max |bias|) keeps every logit and logit difference finite
+    bound = 4.0 * (np.abs(theta).sum(axis=-1) + np.abs(bias).max(axis=-1))
+    if not (np.isfinite(bound).all() and np.isfinite(log).all()):
+        raise NumericalError("training diverged: a policy parameter or a logged value is not finite")
     return [ToyPolicy(task.vocabulary, t.copy(), b.copy()) for t, b in zip(theta, bias)], log

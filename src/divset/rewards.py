@@ -151,18 +151,6 @@ def marginal_gain(candidate: Embedding, ref: ReferenceSet) -> float:
     return float(ref.rewards(_row(candidate, ref), DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL)[0][0])
 
 
-def relevance(candidate: Embedding, ref: ReferenceSet) -> float:
-    """Mean over members of cos(candidate, query) * cos(candidate, member).
-
-    Factorizes as cos(candidate, query) times the mean member cosine.
-    Undefined (rejected) for an empty reference set; composite_reward
-    degrades to the bare query cosine in that case.
-    """
-    if len(ref) == 0:
-        raise ValidationError("relevance requires a non-empty reference set")
-    return float(ref.rewards(_row(candidate, ref), DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL)[1][0])
-
-
 def composite_reward(
     candidate: Embedding,
     ref: ReferenceSet,

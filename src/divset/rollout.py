@@ -57,6 +57,22 @@ class RolloutResult:
         }
 
 
+def check_rollout(size: int, k: int, mode: str) -> None:
+    """Reject a rollout mode not in ROLLOUT_MODES, or a k outside [1, size] for a vocabulary of that size."""
+    if mode not in ROLLOUT_MODES:
+        raise ValidationError(f"rollout_mode must be one of {ROLLOUT_MODES}, got {mode!r}")
+    if not 1 <= k <= size:
+        raise ValidationError(f"k must lie in [1, {size}], got {k}: the vocabulary is exhausted after {size} picks")
+
+
+def _by_id(pool: EmbeddingSet, k: int) -> EmbeddingSet:
+    """The pool in id order, once k is checked to lie in [0, len(pool)]."""
+    if k < 0 or k > len(pool):
+        raise ValidationError(f"k must lie in [0, {len(pool)}], got {k}")
+    # id order by Python's str comparison: numpy's string sort ignores trailing NULs
+    return pool.take(sorted(range(len(pool)), key=pool.ids().__getitem__))
+
+
 def _grow(
     items: EmbeddingSet,
     query: Embedding,
@@ -107,14 +123,7 @@ def rollout_policy(
     The chosen item's reward against the partial set is recorded and the
     item joins the reference set.
     """
-    if mode not in ROLLOUT_MODES:
-        raise ValidationError(f"mode must be one of {ROLLOUT_MODES}, got {mode!r}")
-    if k < 1:
-        raise ValidationError(f"k must be at least 1, got {k}")
-    if k > len(policy.vocabulary):
-        raise ValidationError(
-            f"vocabulary of size {len(policy.vocabulary)} exhausted before {k} selections"
-        )
+    check_rollout(len(policy.vocabulary), k, mode)
     rng = np.random.default_rng(seed)
 
     def choose(ref: ReferenceSet, composite: np.ndarray, taken: np.ndarray) -> int:
@@ -140,10 +149,7 @@ def greedy_select(
 ) -> RolloutResult:
     """Pick k pool items, each maximizing the composite reward against the
     partial selection; ties go to the lowest id."""
-    if k < 0 or k > len(pool):
-        raise ValidationError(f"k must lie in [0, {len(pool)}], got {k}")
-    # id order by Python's str comparison: numpy's string sort ignores trailing NULs
-    items = pool.take(sorted(range(len(pool)), key=pool.ids().__getitem__))
+    items = _by_id(pool, k)
     require_unit_rows(items)
 
     def choose(ref: ReferenceSet, composite: np.ndarray, taken: np.ndarray) -> int:
@@ -159,14 +165,12 @@ def brute_force_select(pool: EmbeddingSet, k: int) -> tuple[EmbeddingSet, float]
     the lexicographically smallest id tuple. Refuses instances whose subset
     count exceeds BRUTE_FORCE_BUDGET.
     """
-    if k < 0 or k > len(pool):
-        raise ValidationError(f"k must lie in [0, {len(pool)}], got {k}")
+    items = _by_id(pool, k)
     count = math.comb(len(pool), k)
     if count > BRUTE_FORCE_BUDGET:
         raise ValidationError(
             f"{count} size-{k} subsets exceed the exhaustive-search budget of {BRUTE_FORCE_BUDGET}"
         )
-    items = pool.take(sorted(range(len(pool)), key=pool.ids().__getitem__))
     gram = build_kernel(items)  # checks unit norms; every subset's kernel is a block of it
     if k == 0:
         return items.take(()), 0.0

@@ -11,7 +11,6 @@ across seeds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -22,7 +21,7 @@ from .grpo import GrpoConfig, TrainingTask, train_batch
 # unused here, kept for the trace target divset.simulation.train in bench/spans.py
 from .grpo import train  # noqa: F401
 from .metrics import mean_alignment, vendi_score
-from .rollout import ROLLOUT_MODES, rollout_policy
+from .rollout import check_rollout, rollout_policy
 
 # Geometric taper of the query's weight on successive cluster centers. A
 # mild taper keeps the query correlated with every mode while making some
@@ -94,8 +93,8 @@ def make_world(
         raise ValidationError(f"n_modes must not exceed dim ({n_modes} > {dim})")
     if n_candidates < n_modes:
         raise ValidationError(f"n_candidates must be at least n_modes, got {n_candidates}")
-    if not 0.0 <= sigma < math.inf:  # False for NaN
-        raise ValidationError(f"sigma must be finite and non-negative, got {sigma}")
+    if sigma < 0:
+        raise ValidationError(f"sigma must be non-negative, got {sigma}")
 
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -103,9 +102,10 @@ def make_world(
     centers = q.T[:n_modes]
 
     seed_modes = np.arange(n_candidates) % n_modes
-    vectors = centers[seed_modes] + sigma * rng.standard_normal((n_candidates, dim))
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    if np.any(norms < 1e-12):
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge sigma overflows to a non-finite norm
+        vectors = centers[seed_modes] + sigma * rng.standard_normal((n_candidates, dim))
+        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    if not (np.isfinite(norms).all() and (norms >= 1e-12).all()):
         raise ValidationError("degenerate candidate vector; sigma too extreme for this seed")
     vectors = vectors / norms
     nearest = np.argmax(vectors @ centers.T, axis=1)
@@ -196,14 +196,6 @@ def arm_name(config: GrpoConfig) -> str:
     return f"div{config.lambda_div:g}-rel{config.lambda_rel:g}"
 
 
-def check_rollout(world: SimWorld, k: int, rollout_mode: str) -> None:
-    """Reject a rollout mode or a selection size k the world cannot serve."""
-    if rollout_mode not in ROLLOUT_MODES:
-        raise ValidationError(f"rollout_mode must be one of {ROLLOUT_MODES}, got {rollout_mode!r}")
-    if not 1 <= k <= len(world.vocabulary):
-        raise ValidationError(f"k must lie in [1, {len(world.vocabulary)}], got {k}")
-
-
 def run_experiment(
     world: SimWorld,
     arms: list[GrpoConfig],
@@ -227,7 +219,7 @@ def run_experiment(
     seeds = [check_number("seed", s, integer=True) for s in (DEFAULT_SEEDS if seeds is None else seeds)]
     if not seeds:
         raise ValidationError("at least one seed is required")
-    check_rollout(world, k, rollout_mode)
+    check_rollout(len(world.vocabulary), k, rollout_mode)
     names = arm_names if arm_names is not None else [arm_name(cfg) for cfg in arms]
     if len(names) != len(arms) or len(set(names)) != len(arms):
         raise ValidationError("arm names must be unique and match the number of arms")

@@ -1,10 +1,12 @@
 """One-row GRPO arithmetic: the surrogate, its gradient, the KL and the
 entropy of a single context and group, as plain per-row numpy, and one run's
 draws made with numpy's own Generator. The batched program code must equal
-these bit for bit, row by row."""
+these bit for bit, row by row. Also the surrogate objective of one group,
+read from the program's batched surrogate."""
 
 import numpy as np
 
+from divset import grpo
 from divset.errors import NumericalError
 
 
@@ -38,6 +40,20 @@ def clipped_surrogate(features, p_new, p_old, p_ref, indices, advantages, clip_e
     if kl_beta != 0.0:
         g_logits -= kl_beta * p_new * (s - kl)
     return objective, kl, features.T @ g_logits, g_logits
+
+
+def surrogate_objective(policy, old, ref_policy, indices, advantages, query, ref, clip_epsilon, kl_beta):
+    """The objective of grpo._clipped_surrogate on a batch of one run: the
+    arrays assembled as surrogate_gradient assembles them, no arithmetic added."""
+    features = grpo.context_features(policy, query, ref)
+    p_new, p_old, p_ref = (grpo.policy_probs(p, query, ref)[None] for p in (policy, old, ref_policy))
+    with np.errstate(divide="ignore"):  # a zero of p_ref makes its log -inf, as in surrogate_gradient
+        log_p_ref = np.log(p_ref)
+    group = np.asarray(indices, dtype=int)[None], np.asarray(advantages, dtype=float)[None]
+    objective = grpo._clipped_surrogate(
+        features[None], p_new, p_old, log_p_ref, *group, np.array([clip_epsilon]), np.array([kl_beta])
+    )[0]
+    return float(objective[0])
 
 
 def iteration_context(task, rng):

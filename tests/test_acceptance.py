@@ -25,11 +25,11 @@ from divset import (
     policy_probs,
     sample_group,
     surrogate_gradient,
-    surrogate_objective,
     vendi_score,
 )
 from divset.cli import main
 from divset.kernel import build_kernel, logdet_regularized_gram
+from grpo_oracles import surrogate_objective
 
 LN2 = math.log(2)
 LN3 = math.log(3)

@@ -500,6 +500,37 @@ def test_non_finite_sigma_exits_2_naming_sigma(tmp_path, capsys, command, litera
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "simulate"])
+@pytest.mark.parametrize("sigma", [1e200, 1e308])
+def test_overflowing_sigma_exits_2_naming_sigma(tmp_path, capsys, command, sigma):
+    # finite, but the noise or its squared norms overflow
+    body = {"version": 1, "world": {**SMALL_CONFIG["world"], "sigma": sigma}, "grpo": {"iterations": 2}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body))
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert caught == []
+    assert "sigma too extreme" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "simulate"])
+@pytest.mark.parametrize("grpo", [{"kl_beta": 1e308}, {"learning_rate": 1.7e308, "iterations": 1}], ids=str)
+def test_diverging_training_exits_3_without_a_warning(tmp_path, capsys, command, grpo):
+    body = {"version": 1, "world": SMALL_CONFIG["world"], "grpo": {"iterations": 20, **grpo}, "seeds": [0]}
+    if command == "train":
+        del body["seeds"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "run")]) == 3
+    assert caught == []
+    assert "training diverged" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, trainer", [("train", "train"), ("simulate", "run_experiment")])
 @pytest.mark.parametrize("value", [1e200, 1.5e308])
 def test_weights_over_the_sum_bound_rejected_before_training(tmp_path, capsys, monkeypatch, command, trainer, value):

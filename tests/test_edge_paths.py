@@ -19,7 +19,7 @@ from divset import (
     build_kernel,
     greedy_select,
     rollout_policy,
-    surrogate_objective,
+    surrogate_gradient,
 )
 from divset.cli import SIMULATE_DEFAULTS, TRAIN_DEFAULTS, _load_config, _resolve_arms, _resolve_shared, main
 from divset.cli import _write_jsonl
@@ -42,7 +42,7 @@ class TestNumericalErrorPaths:
         new = ToyPolicy(vocab)
         indices, advantages = np.array([2, 0]), np.array([1.0, -1.0])
         with pytest.raises(NumericalError, match="zero probability"):
-            surrogate_objective(new, old, new, indices, advantages, q, ref, 0.2, 0.0)
+            surrogate_gradient(new, old, new, indices, advantages, q, ref, 0.2, 0.0)
 
     def test_rollout_rejects_fully_underflowed_mask(self):
         e = np.eye(4)

@@ -3,6 +3,7 @@ and its gradient, and the training loop."""
 
 import dataclasses
 import math
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -14,6 +15,7 @@ from divset import (
     Embedding,
     EmbeddingSet,
     GrpoConfig,
+    NumericalError,
     ReferenceSet,
     ToyPolicy,
     TrainingTask,
@@ -24,14 +26,13 @@ from divset import (
     rollout_policy,
     sample_group,
     surrogate_gradient,
-    surrogate_objective,
     train,
 )
 from divset import draws, grpo
 from divset.cli import _write_jsonl
 from divset.grpo import context_features
 from divset.simulation import DEFAULT_WORLD, make_world
-from grpo_oracles import clipped_surrogate, iteration_context, policy_entropy, run_draws
+from grpo_oracles import clipped_surrogate, iteration_context, policy_entropy, run_draws, surrogate_objective
 
 
 def rand_unit(rng, d):
@@ -433,6 +434,18 @@ class TestTrain:
             assert set(r) == {"iteration", "objective", "mean_reward", "kl", "policy_entropy"}
             assert np.isfinite(list(r.values())).all()
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"kl_beta": 1e308, "iterations": 20}, {"learning_rate": 1.7e308, "iterations": 1}],
+        ids=["objective-overflows", "logits-could-overflow"],
+    )
+    def test_diverging_run_raises_without_a_warning(self, fields):
+        task = make_world(n_modes=3, n_candidates=12, dim=8, sigma=0.1, seed=5).training_task()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="training diverged"):
+                train(GrpoConfig(seed=3, **fields), task)
+
 
 def reference_train(config, task):
     """train() as the plain GRPO loop: sync a copy of the policy as the old
@@ -712,6 +725,17 @@ class TestGrpoConfig:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValidationError, match="finite"):
             GrpoConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "kl_beta", "lambda_div", "lambda_rel"])
+    def test_integer_past_the_largest_float_rejected(self, field):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            GrpoConfig(**{field: 10**400})
+
+    def test_integer_past_int64_trains_as_its_float(self):
+        task = make_world(n_modes=3, n_candidates=12, dim=8, sigma=0.1, seed=5).training_task()
+        as_int, _ = train(GrpoConfig(kl_beta=2**64, iterations=20, seed=3), task)
+        as_float, _ = train(GrpoConfig(kl_beta=float(2**64), iterations=20, seed=3), task)
+        assert same_bits(as_int.theta, as_float.theta) and same_bits(as_int.bias, as_float.bias)
 
     def test_training_log_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError, match="JSON compliant"):

@@ -18,7 +18,6 @@ from divset import (
     marginal_gain,
     mean_alignment,
     metric_report,
-    relevance,
     save_embeddings,
     truncated_spectral_entropy,
     vendi_score,
@@ -217,7 +216,6 @@ UNIT_NORM_CASES = {
     "refset_member": lambda: ReferenceSet(EmbeddingSet([GOOD, BAD]), ORTHO),
     "refset_query": lambda: ReferenceSet(EmbeddingSet([GOOD]), BAD),
     "marginal_gain": lambda: marginal_gain(BAD, ReferenceSet(EmbeddingSet([ORTHO]), GOOD)),
-    "relevance": lambda: relevance(BAD, ReferenceSet(EmbeddingSet([ORTHO]), GOOD)),
     "toy_policy": lambda: ToyPolicy(EmbeddingSet([GOOD, BAD])),
     "mean_alignment_item": lambda: mean_alignment(EmbeddingSet([GOOD, BAD]), ORTHO),
     "mean_alignment_query": lambda: mean_alignment(EmbeddingSet([GOOD]), BAD),
