@@ -34,10 +34,9 @@ from .rewards import (
 )
 # unused here, kept for the trace target divset.cli.composite_reward in bench/spans.py
 from .rewards import composite_reward  # noqa: F401
-from .rollout import brute_force_select, check_rollout, greedy_select, rollout_policy
+from .rollout import DEFAULT_ROLLOUT_MODE, brute_force_select, check_rollout, greedy_select, rollout_policy
 from .simulation import (
     DEFAULT_K,
-    DEFAULT_ROLLOUT_MODE,
     DEFAULT_SEEDS,
     DEFAULT_WORLD,
     METRIC_NAMES,
@@ -56,6 +55,8 @@ DEFAULT_SIMULATE_ARMS = [
     {"name": "relevance-only", "lambda_div": 0.0, "lambda_rel": 1.0},
 ]
 SIMULATE_DEFAULTS = {**TRAIN_DEFAULTS, "arms": DEFAULT_SIMULATE_ARMS, "seeds": DEFAULT_SEEDS}
+# The grpo fields simulate sets per run, each from the config key named.
+SIMULATE_PER_RUN = {"seed": "seeds", "lambda_div": "arms", "lambda_rel": "arms"}
 
 
 def _section(value, keys, name: str) -> dict:
@@ -297,6 +298,9 @@ def cmd_train(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_config(args.config, SIMULATE_DEFAULTS)
     world_params, world, grpo, k = _resolve_shared(config)
+    for key, source in SIMULATE_PER_RUN.items():
+        if key in config["grpo"]:
+            raise ValidationError(f'grpo.{key} must be left out of simulate: each run takes it from "{source}"')
     names, arms = _resolve_arms(config["arms"], grpo)
     seeds = config["seeds"]
     if not isinstance(seeds, list):
@@ -313,6 +317,7 @@ def cmd_simulate(args) -> int:
     resolved = {
         **config,
         "world": world_params,
+        "grpo": {key: value for key, value in grpo.to_dict().items() if key not in SIMULATE_PER_RUN},
         "arms": [
             {"name": name, "lambda_div": arm.lambda_div, "lambda_rel": arm.lambda_rel}
             for name, arm in zip(names, arms)

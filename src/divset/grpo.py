@@ -109,18 +109,20 @@ def context_features(policy: ToyPolicy, query: Embedding, ref: ReferenceSet) -> 
     return f
 
 
-def _softmax(features: np.ndarray, theta: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Policy probabilities of (N, F) features under (F,) theta and (N,) bias,
-    or of a stack of R of each, along the last axis."""
+def _log_softmax(features: np.ndarray, theta: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, log p) of the policy of (N, F) features under (F,) theta and (N,) bias, or of a stack
+    of R of each, along the last axis. log p comes from the logits: it is finite wherever the
+    logit is, even where p underflows to 0, and -inf where the bias is -inf."""
     logits = (features @ theta[..., None])[..., 0] + bias
     shifted = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    total = weights.sum(axis=-1, keepdims=True)
+    return weights / total, shifted - np.log(total)
 
 
 def policy_probs(policy: ToyPolicy, query: Embedding, ref: ReferenceSet) -> np.ndarray:
     """Softmax action distribution over the vocabulary in the given context."""
-    return _softmax(context_features(policy, query, ref), policy.theta, policy.bias)
+    return _log_softmax(context_features(policy, query, ref), policy.theta, policy.bias)[0]
 
 
 def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -164,22 +166,11 @@ def compute_advantages(rewards) -> np.ndarray:
     return np.divide(deviation, std, out=np.zeros_like(r), where=~constant)
 
 
-def _support_sum(terms: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """The (R,) sums of (R, N) terms over their support. A row with an exact
-    zero outside the support sums only its supported entries, as a compressed
-    row: zeros in numpy's pairwise summation would regroup the sum."""
-    total = terms.sum(axis=-1)
-    if not support.all():
-        for r in np.flatnonzero(~support.all(axis=-1)):
-            total[r] = terms[r][support[r]].sum()
-    return total
-
-
-def _clipped_surrogate(features, p_new, p_old, log_p_ref, indices, advantages, clip_epsilon, kl_beta):
+def _clipped_surrogate(features, p_new, log_p_new, p_old, log_p_ref, indices, advantages, clip_epsilon, kl_beta):
     """(objective, KL(p_new || p_ref), entropy of p_new, theta grad, bias grad),
     each with a leading run axis, of R runs: (R, N, F) features, (R, N)
-    policies, log p_ref as (R, N) or one (N,) row, (R, G) groups and (R,)
-    clip_epsilon and kl_beta."""
+    policies and their logs, log p_ref as (R, N) or one (N,) row, (R, G)
+    groups and (R,) clip_epsilon and kl_beta."""
     runs, group_size = indices.shape
     n = p_new.shape[-1]
     flat = indices + np.arange(0, runs * n, n)[:, None]  # the group's items in the flattened (R, N) arrays
@@ -190,12 +181,9 @@ def _clipped_surrogate(features, p_new, p_old, log_p_ref, indices, advantages, c
     unclipped = ratios * advantages
     eps = clip_epsilon[:, None]
     clipped = np.minimum(np.maximum(ratios, 1.0 - eps), 1.0 + eps) * advantages
-    # log p_new on the support, 0 off it; s = log p_new - log p_ref there, and KL = sum p_new * s
-    support = p_new > 0
-    log_p_new = np.log(p_new, out=np.zeros_like(p_new), where=support)
-    s = np.subtract(log_p_new, log_p_ref, out=np.zeros_like(p_new), where=support)
-    kl = _support_sum(p_new * s, support)
-    entropy = -_support_sum(p_new * log_p_new, support)
+    s = log_p_new - log_p_ref  # KL = sum p_new * s
+    kl = (p_new * s).sum(axis=-1)
+    entropy = -(p_new * log_p_new).sum(axis=-1)
     objective = np.minimum(unclipped, clipped).sum(axis=-1) / group_size - kl_beta * kl
 
     active = unclipped <= clipped
@@ -203,8 +191,7 @@ def _clipped_surrogate(features, p_new, p_old, log_p_ref, indices, advantages, c
     # adds each row's coefficients at its indices in group order, as np.add.at would
     g_logits = np.bincount(flat.ravel(), coef.ravel(), runs * n).reshape(runs, n)
     g_logits -= coef.sum(axis=-1, keepdims=True) * p_new
-    beta = kl_beta[:, None]
-    g_logits -= np.where(beta != 0.0, beta * p_new * (s - kl[:, None]), 0.0)
+    g_logits -= kl_beta[:, None] * p_new * (s - kl[:, None])
     return objective, kl, entropy, (features.transpose(0, 2, 1) @ g_logits[..., None])[..., 0], g_logits
 
 
@@ -238,12 +225,12 @@ def surrogate_gradient(
     logit map.
     """
     features = context_features(policy, query, ref)  # one for all three: they share the vocabulary
-    p_new, p_old, p_ref = (_softmax(features, p.theta, p.bias)[None] for p in (policy, old, ref_policy))
-    with np.errstate(divide="ignore"):  # a zero of p_ref on the support of p_new makes KL infinite
-        log_p_ref = np.log(p_ref)
+    (p_new, log_p_new), (p_old, _), (_, log_p_ref) = (
+        _log_softmax(features[None], p.theta[None], p.bias[None]) for p in (policy, old, ref_policy)
+    )
     group = np.asarray(indices, dtype=int)[None], np.asarray(advantages, dtype=float)[None]
     *_, theta_grad, bias_grad = _clipped_surrogate(
-        features[None], p_new, p_old, log_p_ref, *group, np.array([clip_epsilon]), np.array([kl_beta])
+        features[None], p_new, log_p_new, p_old, log_p_ref, *group, np.array([clip_epsilon]), np.array([kl_beta])
     )
     return theta_grad[0], bias_grad[0]
 
@@ -371,7 +358,7 @@ def train_batch(configs: list[GrpoConfig], task: TrainingTask) -> tuple[list[Toy
     policy = ToyPolicy(task.vocabulary)  # the all-zero policy: it checks the vocabulary and builds features
     vocabulary = task.vocabulary.matrix()
     n, dim = vocabulary.shape
-    log_p_ref = np.log(np.full(n, 1.0 / n))  # the all-zero reference policy
+    log_p_ref = _log_softmax(np.zeros((n, N_FEATURES)), policy.theta, policy.bias)[1]  # of the all-zero policy
     clip_epsilon, kl_beta, learning_rate, lambda_div, lambda_rel = (
         np.array([getattr(c, name) for c in configs], dtype=float)  # a JSON integer past int64 makes no object array
         for name in ("clip_epsilon", "kl_beta", "learning_rate", "lambda_div", "lambda_rel")
@@ -435,14 +422,14 @@ def train_batch(configs: list[GrpoConfig], task: TrainingTask) -> tuple[list[Toy
             for r, key in late:
                 build(r, key)
             features = slot_features[slots]
-            probs = _softmax(features, theta, bias)
+            probs, log_probs = _log_softmax(features, theta, bias)
             indices = _draw(probs, uniforms)
             rows, basis, members = vocabulary[indices], slot_basis[slots], slot_members[slots]
             rewards = basis_rewards(rows, basis, members, lambda_div, lambda_rel)[2]
             advantages = compute_advantages(rewards)
             # one update per group: the old policy is the current one, so p_old = p_new
             objective, kl, entropy, theta_grad, bias_grad = _clipped_surrogate(
-                features, probs, probs, log_p_ref, indices, advantages, clip_epsilon, kl_beta
+                features, probs, log_probs, probs, log_p_ref, indices, advantages, clip_epsilon, kl_beta
             )
             theta += learning_rate * theta_grad
             bias += learning_rate * bias_grad

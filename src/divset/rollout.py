@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import Embedding, EmbeddingSet
-from .errors import NumericalError, ValidationError
-from .grpo import ToyPolicy, policy_probs
+from .errors import ValidationError
+from .grpo import ToyPolicy, _log_softmax, context_features
 from .kernel import build_kernel, regularized_cholesky, require_unit_rows
 # unused here, kept for the trace target divset.rollout.logdet_regularized_gram in bench/spans.py
 from .kernel import logdet_regularized_gram  # noqa: F401
@@ -30,6 +30,10 @@ from .rewards import DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL, ReferenceSet, Rewar
 from .rewards import composite_reward  # noqa: F401
 
 ROLLOUT_MODES = ("sample", "greedy-prob")
+
+# Argmax decoding gives deterministic selections for a trained policy;
+# stochastic rollouts remain available via rollout_mode="sample".
+DEFAULT_ROLLOUT_MODE = "greedy-prob"
 
 # Exhaustive search refuses instances with more candidate subsets than this.
 BRUTE_FORCE_BUDGET = 1_000_000
@@ -109,7 +113,7 @@ def rollout_policy(
     policy: ToyPolicy,
     query: Embedding,
     k: int,
-    mode: str = "sample",
+    mode: str = DEFAULT_ROLLOUT_MODE,
     seed: int = 0,
     lambda_div: float = DEFAULT_LAMBDA_DIV,
     lambda_rel: float = DEFAULT_LAMBDA_REL,
@@ -117,8 +121,8 @@ def rollout_policy(
     """Select k vocabulary items autoregressively.
 
     Starts with an empty reference set; at each step the policy
-    distribution is computed in the current context, already-selected items
-    are masked out and the rest renormalized, then one item is drawn
+    distribution over the unselected items (a selected item's logit is
+    -inf) is computed in the current context, then one item is drawn
     ("sample") or taken by argmax ("greedy-prob", ties to the lowest id).
     The chosen item's reward against the partial set is recorded and the
     item joins the reference set.
@@ -127,11 +131,8 @@ def rollout_policy(
     rng = np.random.default_rng(seed)
 
     def choose(ref: ReferenceSet, composite: np.ndarray, taken: np.ndarray) -> int:
-        probs = np.where(taken, 0.0, policy_probs(policy, query, ref))
-        total = probs.sum()
-        if total <= 0.0:
-            raise NumericalError("all unselected candidates have zero probability")
-        probs = probs / total
+        features = context_features(policy, query, ref)
+        probs = _log_softmax(features, policy.theta, np.where(taken, -np.inf, policy.bias))[0]
         if mode == "sample":
             return int(rng.choice(len(probs), p=probs))
         best = np.flatnonzero(probs == probs.max())

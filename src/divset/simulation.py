@@ -15,13 +15,13 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .embeddings import Embedding, EmbeddingSet, normalize
+from .embeddings import ZERO_NORM_TOL, Embedding, EmbeddingSet, normalize
 from .errors import ValidationError, check_number
 from .grpo import GrpoConfig, TrainingTask, train_batch
 # unused here, kept for the trace target divset.simulation.train in bench/spans.py
 from .grpo import train  # noqa: F401
 from .metrics import mean_alignment, vendi_score
-from .rollout import check_rollout, rollout_policy
+from .rollout import DEFAULT_ROLLOUT_MODE, check_rollout, rollout_policy
 
 # Geometric taper of the query's weight on successive cluster centers. A
 # mild taper keeps the query correlated with every mode while making some
@@ -32,10 +32,6 @@ QUERY_CENTER_TAPER = 0.9
 DEFAULT_WORLD = {"n_modes": 6, "n_candidates": 60, "dim": 16, "sigma": 0.1, "seed": 7}
 DEFAULT_K = 8
 DEFAULT_SEEDS = list(range(10))
-
-# Argmax decoding gives deterministic selections for a trained policy;
-# stochastic rollouts remain available via rollout_mode="sample".
-DEFAULT_ROLLOUT_MODE = "greedy-prob"
 
 
 @dataclass(eq=False)
@@ -105,7 +101,7 @@ def make_world(
     with np.errstate(over="ignore", invalid="ignore"):  # a huge sigma overflows to a non-finite norm
         vectors = centers[seed_modes] + sigma * rng.standard_normal((n_candidates, dim))
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    if not (np.isfinite(norms).all() and (norms >= 1e-12).all()):
+    if not (np.isfinite(norms).all() and (norms >= ZERO_NORM_TOL).all()):
         raise ValidationError("degenerate candidate vector; sigma too extreme for this seed")
     vectors = vectors / norms
     nearest = np.argmax(vectors @ centers.T, axis=1)

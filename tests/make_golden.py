@@ -6,8 +6,9 @@ shipped configs and one seeded 200-row pool, and writes into ``out/`` there,
 so no path in an artifact depends on where it ran. The 4-arm acceptance
 experiment (criteria 7 and 8) is digested from its ``to_report()``.
 
-Regenerating the digests is a deliberate act: list every digest that moved,
-and why, in CHANGES.md. Run from the repository root:
+Regenerating the digests is a deliberate act: it prints every digest that
+moved (name, old -> new); list them, and why, in CHANGES.md. Run from the
+repository root:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/make_golden.py
 """
@@ -124,6 +125,10 @@ def regenerate() -> None:
     for name in CASES:
         with tempfile.TemporaryDirectory() as directory:
             digests.update(run_case(name, Path(directory)))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"] if GOLDEN.exists() else {}
+    for name in sorted(old.keys() | digests.keys()):
+        if old.get(name) != digests.get(name):
+            print(f"moved: {name} {old.get(name)} -> {digests.get(name)}")
     golden = {"build": build(), "digests": digests}
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(digests)} digests written to {GOLDEN}")

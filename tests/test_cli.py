@@ -465,6 +465,28 @@ class TestSimulate:
         config.write_text(json.dumps(body))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("key, source", list(cli.SIMULATE_PER_RUN.items()))
+    def test_per_run_grpo_key_rejected(self, tmp_path, capsys, monkeypatch, key, source):
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("trained"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "grpo": {"iterations": 40, key: 0}}))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"grpo.{key} must be left out" in err and f'"{source}"' in err
+        assert not out.exists()
+
+    def test_config_echoes_the_resolved_grpo_section(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        resolved = cli.GrpoConfig(**SMALL_CONFIG["grpo"]).to_dict()
+        expected = {key: value for key, value in resolved.items() if key not in cli.SIMULATE_PER_RUN}
+        assert len(expected) == 5
+        assert json.loads((out / "config.json").read_text())["grpo"] == expected
+        assert json.loads((out / "report.json").read_text())["config"]["grpo"] == expected
+
     def test_lambda_ablation_preset(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**SMALL_CONFIG, "arms": "lambda-ablation"}))
@@ -529,6 +551,22 @@ def test_diverging_training_exits_3_without_a_warning(tmp_path, capsys, command,
         assert main([command, "--config", str(config), "--out", str(tmp_path / "run")]) == 3
     assert caught == []
     assert "training diverged" in capsys.readouterr().err
+
+
+def test_saturated_policy_rolls_out_with_finite_artifacts(tmp_path):
+    # learning_rate 1e300 trains to finite parameters under which most items' p underflows to 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"version": 1, "grpo": {"learning_rate": 1e300, "iterations": 5}}))
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+    assert caught == []
+    report = json.loads((out / "report.json").read_text(), parse_constant=pytest.fail)
+    assert len(report["rollout"]["selected_ids"]) == 8
+    assert max(map(abs, report["policy"]["bias"])) > 1e100
+    for line in (out / "training_log.jsonl").read_text().splitlines():
+        json.loads(line, parse_constant=pytest.fail)
 
 
 @pytest.mark.parametrize("command, trainer", [("train", "train"), ("simulate", "run_experiment")])

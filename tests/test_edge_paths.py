@@ -1,7 +1,9 @@
 """Hard-error paths and contract edges across modules."""
 
 import json
+import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -44,14 +46,30 @@ class TestNumericalErrorPaths:
         with pytest.raises(NumericalError, match="zero probability"):
             surrogate_gradient(new, old, new, indices, advantages, q, ref, 0.2, 0.0)
 
-    def test_rollout_rejects_fully_underflowed_mask(self):
+    def test_surrogate_gradient_finite_against_saturated_reference(self):
+        e = np.eye(3)
+        vocab = EmbeddingSet([Embedding(f"v{i}", e[i]) for i in range(3)])
+        q = Embedding("q", e[0])
+        ref = ReferenceSet.empty(q)
+        # the reference policy's p underflows to 0 on items 1 and 2; its log p there is -800
+        ref_policy = ToyPolicy(vocab, [0.0, 0.0], [800.0, 0.0, 0.0])
+        new = ToyPolicy(vocab)
+        indices, advantages = np.array([2, 0]), np.array([1.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, g_bias = surrogate_gradient(new, new, ref_policy, indices, advantages, q, ref, 0.2, 0.04)
+        # uniform p_new: the group's term is (onehot(2) - onehot(0)) / 2, the KL's p (s - KL)
+        s = -math.log(3) - np.array([0.0, -800.0, -800.0])
+        expected = np.array([-0.5, 0.0, 0.5]) - 0.04 * (s - s.mean()) / 3
+        np.testing.assert_allclose(g_bias, expected, rtol=1e-12)
+
+    def test_rollout_ranks_items_past_an_underflowed_mask(self):
         e = np.eye(4)
         vocab = EmbeddingSet([Embedding(f"v{i}", e[i]) for i in range(4)])
         q = Embedding("q", e[0])
-        # two items hold all representable mass; the other two underflow to 0
+        # two items hold all representable mass; the other two underflow to 0 until both are taken
         policy = ToyPolicy(vocab, bias=np.array([800.0, 800.0, 0.0, 0.0]))
-        with pytest.raises(NumericalError, match="zero probability"):
-            rollout_policy(policy, q, k=3, mode="greedy-prob")
+        assert rollout_policy(policy, q, k=3, mode="greedy-prob").selected.ids() == ["v0", "v1", "v2"]
 
 
 class TestValidationEdges:

@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divset.cli import main
+from divset.cli import SIMULATE_PER_RUN, main
 
 # counts a run allocates by; a huge one asks numpy for more memory than there is,
 # a defect of its own that this test leaves out
@@ -103,6 +103,8 @@ def test_perturbed_config_exits_cleanly(command, sigma, world, grpo, top):
         top = {key: value for key, value in top.items() if key not in ("arms", "seeds")}
     else:
         top.setdefault("seeds", [0])  # not the ten default seeds
+        # simulate rejects these keys by name; leaving them out lets most of its examples train
+        grpo = {key: value for key, value in grpo.items() if key not in SIMULATE_PER_RUN}
     grpo.setdefault("iterations", 5)
     config = {"version": 1, "world": {**world, "sigma": sigma}, "grpo": grpo, **top}
     with tempfile.TemporaryDirectory() as tmp:

@@ -32,7 +32,15 @@ from divset import draws, grpo
 from divset.cli import _write_jsonl
 from divset.grpo import context_features
 from divset.simulation import DEFAULT_WORLD, make_world
-from grpo_oracles import clipped_surrogate, iteration_context, policy_entropy, run_draws, surrogate_objective
+from grpo_oracles import (
+    clipped_surrogate,
+    iteration_context,
+    log_softmax,
+    policy_entropy,
+    policy_logits,
+    run_draws,
+    surrogate_objective,
+)
 
 
 def rand_unit(rng, d):
@@ -48,13 +56,9 @@ def copy_policy(policy):
     return ToyPolicy(policy.vocabulary, policy.theta.copy(), policy.bias.copy())
 
 
-def exact_kl(p, q):
-    """Discrete KL(p || q), the oracle of the KL the surrogate computes;
-    infinite when q has a zero where p does not."""
-    support = p > 0
-    with np.errstate(divide="ignore"):
-        terms = p[support] * (np.log(p[support]) - np.log(q[support]))
-    return float(terms.sum())
+def exact_kl(p, log_p, log_q):
+    """Discrete KL(p || q) from p and the logs of p and q, the oracle of the KL the surrogate computes."""
+    return float((p * (log_p - log_q)).sum())
 
 
 def make_context(seed=0, n_vocab=8, d=6, n_ref=2):
@@ -257,14 +261,13 @@ class TestExactKl:
             n = int(rng.integers(2, 12))
             p = rng.dirichlet(np.ones(n))
             q = rng.dirichlet(np.ones(n))
-            assert exact_kl(p, q) >= 0.0
-            assert exact_kl(p, p) <= 1e-12
+            assert exact_kl(p, np.log(p), np.log(q)) >= 0.0
+            assert exact_kl(p, np.log(p), np.log(p)) <= 1e-12
         p = np.array([0.3, 0.7])
-        assert exact_kl(p, np.array([0.7, 0.3])) > 0.0
+        assert exact_kl(p, np.log(p), np.log([0.7, 0.3])) > 0.0
 
     def test_entropy_of_uniform(self):
-        p = np.full(8, 1 / 8)
-        np.testing.assert_allclose(policy_entropy(p), math.log(8), atol=1e-12)
+        np.testing.assert_allclose(policy_entropy(*log_softmax(np.zeros(8))), math.log(8), atol=1e-12)
 
 
 class TestSurrogateGradient:
@@ -343,9 +346,11 @@ class TestBatchedSurrogateMatchesOneRowOracle:
             new = ToyPolicy(vocab, rng.normal(0, 1, 2), bias)
             old = ToyPolicy(vocab, new.theta + rng.normal(0, 0.2, 2), new.bias + rng.normal(0, 0.2, len(vocab)))
             ref_policy = ToyPolicy(vocab, rng.normal(0, 1, 2), rng.normal(0, 1, len(vocab)))
-            p_new, p_old, p_ref = (policy_probs(p, query, ref) for p in (new, old, ref_policy))
+            (p_new, log_p_new), (p_old, _), (_, log_p_ref) = (
+                log_softmax(policy_logits(p, query, ref)) for p in (new, old, ref_policy)
+            )
             indices = rng.choice(np.flatnonzero(p_new > 0), size=8)  # never the zero item
-            rows.append((p_new, p_old, p_ref, indices, compute_advantages(rng.normal(0, 1, 8))))
+            rows.append((p_new, log_p_new, p_old, log_p_ref, indices, compute_advantages(rng.normal(0, 1, 8))))
         return features, rows
 
     @pytest.mark.parametrize("underflow", [False, True], ids=["positive", "exact-zero"])
@@ -353,16 +358,29 @@ class TestBatchedSurrogateMatchesOneRowOracle:
     def test_rows_equal_oracle_bitwise(self, underflow, kl_beta):
         features, rows = self.rows(underflow)
         assert (rows[1][0] == 0.0).any() == underflow
-        p_new, p_old, p_ref, indices, advantages = (np.stack(part) for part in zip(*rows))
         epsilon, beta = np.array([0.05, 0.2, 0.5]), np.full(3, kl_beta)
         objective, kl, entropy, theta_grad, bias_grad = grpo._clipped_surrogate(
-            np.stack([features] * 3), p_new, p_old, np.log(p_ref), indices, advantages, epsilon, beta
+            np.stack([features] * 3), *(np.stack(part) for part in zip(*rows)), epsilon, beta
         )
-        for r, (new, old, ref, idx, adv) in enumerate(rows):
-            expected = clipped_surrogate(features, new, old, ref, idx, adv, epsilon[r], kl_beta)
+        for r, (new, log_new, old, log_ref, idx, adv) in enumerate(rows):
+            expected = clipped_surrogate(features, new, log_new, old, log_ref, idx, adv, epsilon[r], kl_beta)
             got = objective[r], kl[r], theta_grad[r], bias_grad[r]
             assert all(same_bits(a, b) for a, b in zip(got, expected)), r
-            assert same_bits(entropy[r], policy_entropy(new)), r
+            assert same_bits(entropy[r], policy_entropy(new, log_new)), r
+
+    @pytest.mark.parametrize("underflow", [False, True], ids=["positive", "exact-zero"])
+    def test_log_softmax_rows_equal_oracle_bitwise(self, underflow):
+        rng, vocab, query, ref = make_context(42, n_vocab=24)
+        features = context_features(ToyPolicy(vocab), query, ref)
+        theta, bias = rng.normal(0, 1, (3, 2)), rng.normal(0, 1, (3, len(vocab)))
+        if underflow:
+            bias[1, 5] = -1e4  # p underflows to exactly 0; log p stays finite
+        p, log_p = grpo._log_softmax(np.stack([features] * 3), theta, bias)
+        assert (p[1] == 0.0).any() == underflow
+        assert np.isfinite(log_p).all()
+        for r in range(3):
+            expected = log_softmax(features @ theta[r] + bias[r])
+            assert same_bits(p[r], expected[0]) and same_bits(log_p[r], expected[1]), r
 
 
 def toy_task(rng, n_vocab=12, d=8, include_query_item=False, exemplars=None, context_sizes=None):
@@ -471,8 +489,8 @@ def reference_train(config, task):
         )
         objective = surrogate_objective(*args)
         theta_grad, bias_grad = surrogate_gradient(*args)
-        p_new = policy_probs(policy, task.query, ref)
-        kl = exact_kl(p_new, policy_probs(ref_policy, task.query, ref))
+        p_new, log_p_new = log_softmax(policy_logits(policy, task.query, ref))
+        kl = exact_kl(p_new, log_p_new, log_softmax(policy_logits(ref_policy, task.query, ref))[1])
         policy.theta = policy.theta + config.learning_rate * theta_grad
         policy.bias = policy.bias + config.learning_rate * bias_grad
         records.append(
@@ -481,7 +499,7 @@ def reference_train(config, task):
                 "objective": objective,
                 "mean_reward": float(rewards.mean()),
                 "kl": kl,
-                "policy_entropy": policy_entropy(p_new),
+                "policy_entropy": policy_entropy(p_new, log_p_new),
             }
         )
     return policy, records

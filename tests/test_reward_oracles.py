@@ -22,12 +22,12 @@ from divset import (
     diversity_score,
     greedy_select,
     marginal_gain,
-    policy_probs,
     load_embeddings,
     rollout_policy,
     save_embeddings,
 )
 from divset.cli import main
+from grpo_oracles import log_softmax, policy_logits
 
 TOL = 1e-12
 SEEDS = range(24)
@@ -74,16 +74,15 @@ def per_candidate_greedy(pool: EmbeddingSet, query: Embedding, k: int, lambda_di
 
 
 def per_pick_rollout(policy, query, k, mode, seed, lambda_div, lambda_rel):
-    """The policy rollout one pick at a time: the masked policy distribution
-    picks, composite_reward scores the pick against the partial set, and the
-    pick joins it."""
+    """The policy rollout one pick at a time: the softmax of the logits with
+    the picked items' set to -inf picks, composite_reward scores the pick
+    against the partial set, and the pick joins it."""
     rng = np.random.default_rng(seed)
     ref = ReferenceSet.empty(query)
     mask = np.zeros(len(policy.vocabulary), dtype=bool)
     selected, per_step = [], []
     for _ in range(k):
-        probs = np.where(mask, 0.0, policy_probs(policy, query, ref))
-        probs = probs / probs.sum()
+        probs = log_softmax(np.where(mask, -np.inf, policy_logits(policy, query, ref)))[0]
         if mode == "sample":
             choice = int(rng.choice(len(probs), p=probs))
         else:

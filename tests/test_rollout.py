@@ -21,6 +21,7 @@ from divset import (
     train,
 )
 from divset import rollout
+from divset.cli import TRAIN_DEFAULTS
 from divset.kernel import logdet_regularized_gram, unit_gram
 from divset.rollout import BRUTE_FORCE_TIE_TOL
 
@@ -59,6 +60,15 @@ class TestRolloutPolicy:
         assert len(result.selected) == 1
         np.testing.assert_allclose(result.per_step[0].diversity_gain, LN2, atol=1e-12)
         np.testing.assert_allclose(result.final_diversity, LN2, atol=1e-12)
+
+    def test_default_mode_is_the_program_default(self):
+        rng = np.random.default_rng(7)
+        vocab = unit_set(rng, 10, 6)
+        query = Embedding("q", rand_unit(rng, 6))
+        policy = ToyPolicy(vocab, rng.normal(0, 2, 2), rng.normal(0, 2, 10))
+        assert TRAIN_DEFAULTS["rollout_mode"] == rollout.DEFAULT_ROLLOUT_MODE == "greedy-prob"
+        ids = [rollout_policy(policy, query, k=5, seed=seed).selected.ids() for seed in range(4)]
+        assert ids == [rollout_policy(policy, query, k=5, mode="greedy-prob").selected.ids()] * 4
 
     def test_reproducible_sequence(self):
         rng = np.random.default_rng(2)
