@@ -7,6 +7,10 @@ code 3; everything else is a bug and propagates.
 import numbers
 import sys
 
+# Floats (512 MiB) that one array sized by a config's counts may hold. A count
+# whose array would pass it is rejected by name before the array is made.
+MAX_ARRAY_FLOATS = 2**26
+
 
 class ValidationError(ValueError):
     """Inputs violate a documented precondition or invariant."""
@@ -29,3 +33,9 @@ def check_number(name: str, value, integer: bool = False):
     if not (integer or -sys.float_info.max <= value <= sys.float_info.max):  # False for NaN
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return int(value) if integer else value
+
+
+def check_floats(name: str, floats: int) -> None:
+    """Reject the count ``name`` when an array it sizes would hold ``floats`` > MAX_ARRAY_FLOATS floats."""
+    if floats > MAX_ARRAY_FLOATS:
+        raise ValidationError(f"{name} is too large: an array it sizes would pass {MAX_ARRAY_FLOATS} floats")

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .embeddings import Embedding, EmbeddingSet
-from .errors import NumericalError, ValidationError, check_number
+from .errors import NumericalError, ValidationError, check_floats, check_number
 from .kernel import require_unit_rows
 from .rewards import DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL, ReferenceSet, basis_rewards, check_weights
 # unused here, kept for the trace target divset.grpo.composite_reward in bench/spans.py
@@ -349,7 +349,9 @@ def train_batch(configs: list[GrpoConfig], task: TrainingTask) -> tuple[list[Toy
     parameters and zero rows change no reward, so no result changes.
 
     Returns the policies in config order and the (iterations, len(LOG_FIELDS),
-    runs) array of per-iteration log values. A diverged run raises NumericalError.
+    runs) array of per-iteration log values. A diverged run raises
+    NumericalError; a group_size or iterations whose arrays would pass
+    errors.MAX_ARRAY_FLOATS raises ValidationError naming it.
     """
     group_size, iterations = configs[0].group_size, configs[0].iterations
     if any((c.group_size, c.iterations) != (group_size, iterations) for c in configs):
@@ -358,6 +360,8 @@ def train_batch(configs: list[GrpoConfig], task: TrainingTask) -> tuple[list[Toy
     policy = ToyPolicy(task.vocabulary)  # the all-zero policy: it checks the vocabulary and builds features
     vocabulary = task.vocabulary.matrix()
     n, dim = vocabulary.shape
+    check_floats("group_size", runs * group_size * max(n, dim))  # the draw's (R, G, N), the rows' (R, G, d)
+    check_floats("iterations", runs * iterations * len(LOG_FIELDS))  # the log
     log_p_ref = _log_softmax(np.zeros((n, N_FEATURES)), policy.theta, policy.bias)[1]  # of the all-zero policy
     clip_epsilon, kl_beta, learning_rate, lambda_div, lambda_rel = (
         np.array([getattr(c, name) for c in configs], dtype=float)  # a JSON integer past int64 makes no object array

@@ -8,6 +8,9 @@ step's reward, and the candidate joins the set. The policy rollout chooses
 by the policy, re-conditioned on the partial set; greedy selection chooses
 the largest composite reward. Exhaustive search over a fixed pool embodies
 the same objective and serves as a deterministic baseline and test oracle.
+It runs the same recurrence one level down: a (k - 1)-prefix's Cholesky rows
+give every later item's Schur complement, so each size-k subset costs one
+log, and only the winner is factored.
 """
 
 from __future__ import annotations
@@ -20,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import Embedding, EmbeddingSet
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .grpo import ToyPolicy, _log_softmax, context_features
-from .kernel import build_kernel, regularized_cholesky, require_unit_rows
-# unused here, kept for the trace target divset.rollout.logdet_regularized_gram in bench/spans.py
-from .kernel import logdet_regularized_gram  # noqa: F401
+from .kernel import build_kernel, logdet_regularized_gram, require_unit_rows
 from .rewards import DEFAULT_LAMBDA_DIV, DEFAULT_LAMBDA_REL, ReferenceSet, RewardBreakdown, diversity_score
 # unused here, kept for the trace target divset.rollout.composite_reward in bench/spans.py
 from .rewards import composite_reward  # noqa: F401
@@ -41,8 +42,9 @@ BRUTE_FORCE_BUDGET = 1_000_000
 # Exhaustive-search scores this close are ties, which go to the smaller id tuple.
 BRUTE_FORCE_TIE_TOL = 1e-9
 
-# Exhaustive search factors this many subsets' blocks in one batched Cholesky.
-BRUTE_FORCE_CHUNK = 4096
+# Floats (1 MiB) of prefix rows that one batch of exhaustive search holds: a batch
+# takes max(1, budget // ((k - 1) n)) of the (k - 1)-prefixes of an n-item pool.
+BRUTE_FORCE_BATCH_FLOATS = 2**17
 
 
 @dataclass(eq=False)
@@ -159,12 +161,57 @@ def greedy_select(
     return _grow(items, query, k, lambda_div, lambda_rel, choose)
 
 
+def _completion_scores(gram: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
+    """log det(G_S + I) of every subset S that extends one of the (B, m)
+    prefixes of the pool Gram G by an item j past the prefix's last item, as
+    a (B, n) array that holds -inf where j is not past it.
+
+    The rows W = L^-1 (G + I)[prefix, :] of each prefix's Cholesky factor L
+    come from the recurrence of the greedy MAP loop: item t_i, whose Schur
+    complement is s, adds the row w_i = (G[t_i] - sum_{l<i} W[l, t_i] w_l) /
+    sqrt(s), log s to the prefix's log-det and -w_i**2 to every Schur
+    complement; a completion j then adds log of its own. A Schur complement of
+    G + I is at least 1, so one that is not finite and positive is raised as
+    NumericalError.
+    """
+    batch, m = prefixes.shape
+    n = len(gram)
+    rows = np.arange(batch)
+    schur = np.tile(1.0 + gram.diagonal(), (batch, 1))
+    logdet = np.zeros(batch)
+    w = np.empty((m, batch, n))
+
+    def check(values: np.ndarray) -> None:
+        if not (np.isfinite(values) & (values > 0)).all():
+            raise NumericalError("a Schur complement of L + I is not positive; upstream PSD invariant violated")
+
+    for i, t in enumerate(prefixes.T):
+        s = schur[rows, t]
+        check(s)
+        gram.take(t, axis=0, out=w[i], mode="clip")  # "clip" writes to out unbuffered; every t is in range
+        w[i] -= np.einsum("lb,lbn->bn", w[:i, rows, t], w[:i])
+        w[i] /= np.sqrt(s)[:, None]
+        logdet += np.log(s)
+        schur -= w[i] * w[i]
+    last = prefixes[:, -1] if m else np.full(batch, -1)
+    after = np.arange(n) > last[:, None]
+    completions = schur[after]
+    check(completions)
+    scores = np.full((batch, n), -np.inf)
+    scores[after] = np.repeat(logdet, n - 1 - last) + np.log(completions)
+    return scores
+
+
 def brute_force_select(pool: EmbeddingSet, k: int) -> tuple[EmbeddingSet, float]:
     """Exhaustively maximize the diversity score over all size-k subsets.
 
-    Scores within BRUTE_FORCE_TIE_TOL of each other tie, and ties break to
-    the lexicographically smallest id tuple. Refuses instances whose subset
-    count exceeds BRUTE_FORCE_BUDGET.
+    The subsets come in id-tuple order, as the (k - 1)-prefixes of the pool
+    in batches of BRUTE_FORCE_BATCH_FLOATS, each prefix followed by every
+    later item: _completion_scores scores all of a prefix's completions with
+    one Schur complement each. Scores within BRUTE_FORCE_TIE_TOL of each
+    other tie, and ties break to the lexicographically smallest id tuple.
+    The winner's score is its Cholesky log-det on its block of the pool
+    Gram. Refuses instances whose subset count exceeds BRUTE_FORCE_BUDGET.
     """
     items = _by_id(pool, k)
     count = math.comb(len(pool), k)
@@ -176,18 +223,23 @@ def brute_force_select(pool: EmbeddingSet, k: int) -> tuple[EmbeddingSet, float]
     if k == 0:
         return items.take(()), 0.0
 
+    n = len(items)
     best_subset: list[int] = []
     best_score = -np.inf
-    subsets = itertools.combinations(range(len(items)), k)
-    # subsets come in id-tuple order; a block of the pool Gram can round a
-    # duplicate-swapped tie either way, so only a clear win replaces the best,
-    # and within a chunk the wins are taken in order, not by argmax
-    while (idx := np.fromiter(itertools.islice(subsets, BRUTE_FORCE_CHUNK), dtype=(np.intp, k))).size:
-        factors = regularized_cholesky(gram[idx[:, :, None], idx[:, None, :]])
-        scores = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
+    prefixes = itertools.combinations(range(n - 1), k - 1)
+    total = math.comb(n - 1, k - 1)
+    size = max(1, BRUTE_FORCE_BATCH_FLOATS // (max(k - 1, 1) * n))
+    # a score has rounding of its own, so a duplicate-swapped tie can come out
+    # either way: only a clear win replaces the best, and within a batch the
+    # wins are taken in id-tuple order, not by argmax
+    for first in range(0, total, size):
+        batch = min(size, total - first)
+        flat = itertools.chain.from_iterable(itertools.islice(prefixes, batch))
+        idx = np.fromiter(flat, dtype=np.intp, count=batch * (k - 1)).reshape(batch, k - 1)
+        scores = _completion_scores(gram, idx).ravel()  # subset f is prefix f // n plus item f % n
         start = 0
         while (wins := np.flatnonzero(scores[start:] > best_score + BRUTE_FORCE_TIE_TOL)).size:
             start += int(wins[0])
-            best_subset, best_score = idx[start].tolist(), scores[start]
+            best_subset, best_score = [*idx[start // n].tolist(), start % n], scores[start]
             start += 1
-    return items.take(best_subset), float(best_score)
+    return items.take(best_subset), logdet_regularized_gram(gram[np.ix_(best_subset, best_subset)])

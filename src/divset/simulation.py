@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .embeddings import ZERO_NORM_TOL, Embedding, EmbeddingSet, normalize
-from .errors import ValidationError, check_number
+from .errors import ValidationError, check_floats, check_number
 from .grpo import GrpoConfig, TrainingTask, train_batch
 # unused here, kept for the trace target divset.simulation.train in bench/spans.py
 from .grpo import train  # noqa: F401
@@ -91,6 +91,8 @@ def make_world(
         raise ValidationError(f"n_candidates must be at least n_modes, got {n_candidates}")
     if sigma < 0:
         raise ValidationError(f"sigma must be non-negative, got {sigma}")
+    check_floats("dim", dim * dim)
+    check_floats("n_candidates", n_candidates * dim)
 
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from divset import Embedding, EmbeddingSet, ReferenceSet, cli, save_embeddings, simulation
 from divset.cli import main
+from divset.errors import MAX_ARRAY_FLOATS, ValidationError, check_floats
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -753,6 +754,24 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config), "--out", str(out)]) == 2
         assert f"{field} must" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "simulate"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("world", "n_candidates", 1e200), ("world", "dim", 1e12), ("grpo", "group_size", 1e12), ("grpo", "iterations", 1e12)],
+    )
+    def test_huge_count_exits_2_naming_it(self, tmp_path, capsys, command, section, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"version": 1, section: {key: value}}))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert f"error: {key} is too large" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_count_bound_is_inclusive(self):
+        check_floats("n", MAX_ARRAY_FLOATS)
+        with pytest.raises(ValidationError, match="n is too large"):
+            check_floats("n", MAX_ARRAY_FLOATS + 1)
 
     def test_non_integer_k_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -3,8 +3,9 @@
 Every run of ``divset.cli.main`` on a perturbed ``train`` or ``simulate``
 config, or on a perturbed embedding file for ``score``, ``select`` and
 ``eval``, exits 0, 2 or 3: no exception escapes, no warning is issued and no
-artifact holds a NaN or an Infinity. Sizes stay small (dim <= 64, at most 200
-candidates, 5 iterations and groups of 16) so that each run takes milliseconds.
+artifact holds a NaN or an Infinity. Valid sizes stay small (dim <= 64, at
+most 200 candidates, 5 iterations and groups of 16) so that each run takes
+milliseconds; an odd count may lie past errors.MAX_ARRAY_FLOATS, which exits 2.
 """
 
 import contextlib
@@ -21,31 +22,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divset.cli import SIMULATE_PER_RUN, main
+from divset.errors import MAX_ARRAY_FLOATS
 
-# counts a run allocates by; a huge one asks numpy for more memory than there is,
-# a defect of its own that this test leaves out
-COUNTS = ("n_modes", "n_candidates", "dim", "group_size", "iterations")
-EDGES = [0, -1, 0.5, -0.5, 1e-320, math.inf, -math.inf, math.nan]
-
-
-def odd(huge: bool):
-    """A value of a wrong type or at an edge of its type; with ``huge``, maybe a huge number."""
-    edges = EDGES + [1e200, 1e308, 2**64, 10**400] if huge else EDGES
-    return st.one_of(
-        st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2), st.sampled_from(edges)
-    )
+# values of a wrong type or at an edge of their type; a count past MAX_ARRAY_FLOATS is rejected
+EDGES = [0, -1, 0.5, -0.5, 1e-320, math.inf, -math.inf, math.nan, MAX_ARRAY_FLOATS + 1, 1e12, 1e200, 1e308, 2**64, 10**400]
+ODD = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2), st.sampled_from(EDGES)
+)
 
 
-def sometimes_odd(valid, huge: bool = True):
+def sometimes_odd(valid):
     """``valid`` three times in four, an odd value otherwise."""
-    return st.integers(0, 3).flatmap(lambda i: odd(huge) if i == 0 else valid)
+    return st.integers(0, 3).flatmap(lambda i: ODD if i == 0 else valid)
 
 
 def section(**keys):
     """An object holding any of ``keys``, each valid or odd."""
-    return st.fixed_dictionaries(
-        {}, optional={key: sometimes_odd(valid, key not in COUNTS) for key, valid in keys.items()}
-    )
+    return st.fixed_dictionaries({}, optional={key: sometimes_odd(valid) for key, valid in keys.items()})
 
 
 SEED = st.integers(0, 2**64 + 5)
@@ -98,6 +91,9 @@ def run(argv: list[str], outputs: list[Path]) -> None:
 @given(command=st.sampled_from(["train", "simulate"]), sigma=SIGMA, world=WORLD, grpo=GRPO, top=TOP)
 @example(command="train", sigma=1e200, world={}, grpo={"iterations": 2}, top={})
 @example(command="simulate", sigma=1e200, world={}, grpo={"iterations": 2}, top={"seeds": [0]})
+@example(command="train", sigma=0.1, world={"n_candidates": 1e200}, grpo={}, top={})
+@example(command="train", sigma=0.1, world={"dim": 1e12}, grpo={}, top={})
+@example(command="train", sigma=0.1, world={}, grpo={"group_size": 1e12}, top={})
 def test_perturbed_config_exits_cleanly(command, sigma, world, grpo, top):
     if command == "train":
         top = {key: value for key, value in top.items() if key not in ("arms", "seeds")}

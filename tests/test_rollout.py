@@ -12,6 +12,7 @@ from divset import (
     Embedding,
     EmbeddingSet,
     GrpoConfig,
+    NumericalError,
     ToyPolicy,
     ValidationError,
     brute_force_select,
@@ -24,6 +25,7 @@ from divset import rollout
 from divset.cli import TRAIN_DEFAULTS
 from divset.kernel import logdet_regularized_gram, unit_gram
 from divset.rollout import BRUTE_FORCE_TIE_TOL
+from selection_oracles import batched_cholesky_search
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -303,34 +305,98 @@ def test_ties_on_large_duplicate_pools_go_to_smallest_ids():
     assert mismatches == []
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def batch_budget(prefixes, pool, k):
+    """A BRUTE_FORCE_BATCH_FLOATS that makes batches of ``prefixes`` (k - 1)-prefixes of the pool."""
+    return prefixes * max(k - 1, 1) * len(pool)
+
+
+@pytest.mark.parametrize("prefixes", [1, 2, 3, 7])
 class TestBruteForceChunks:
-    """Subsets are scored in chunks of BRUTE_FORCE_CHUNK; with tiny chunks, tied
-    subsets fall on both sides of a boundary, and the sequential tie rule
-    still picks what the per-subset loop picks."""
+    """Prefixes are scored in batches sized by BRUTE_FORCE_BATCH_FLOATS; with
+    batches of a few prefixes, tied subsets fall on both sides of a boundary,
+    and the sequential tie rule still picks what the per-subset loop picks."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=pools_with_duplicates())
     @example(case=(oracle_pool(), 2))
-    def test_matches_per_subset_oracle(self, chunk, case):
+    def test_matches_per_subset_oracle(self, prefixes, case):
         pool, k = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rollout, "BRUTE_FORCE_CHUNK", chunk)
+            patch.setattr(rollout, "BRUTE_FORCE_BATCH_FLOATS", batch_budget(prefixes, pool, k))
             subset, score = brute_force_select(pool, k)
         expected_ids, expected_score = per_subset_brute_force(pool, k)
         assert subset.ids() == expected_ids
         assert abs(score - expected_score) <= 1e-12
 
-    def test_large_duplicate_pools_match_per_subset_oracle(self, chunk, monkeypatch):
-        monkeypatch.setattr(rollout, "BRUTE_FORCE_CHUNK", chunk)
+    def test_large_duplicate_pools_match_per_subset_oracle(self, prefixes, monkeypatch):
         mismatches = []
         for seed in range(40):
             pool, k = large_duplicate_pool(seed)
+            monkeypatch.setattr(rollout, "BRUTE_FORCE_BATCH_FLOATS", batch_budget(prefixes, pool, k))
             subset, score = brute_force_select(pool, k)
             expected_ids, expected_score = per_subset_brute_force(pool, k)
             if subset.ids() != expected_ids or abs(score - expected_score) > 1e-12:
                 mismatches.append(seed)
         assert mismatches == []
+
+
+def benchmark_shaped_file(seed):
+    """29 unit rows in 64 dimensions around 32 orthonormal centers (scale 0.05),
+    ids shuffled: a query and a 28-item pool as the select-bruteforce workload draws them."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((64, 64)))
+    centers = (q * np.sign(np.diagonal(r))).T[:32]
+    rows = centers[rng.choice(32, 29)] + 0.05 * rng.standard_normal((29, 64))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return EmbeddingSet([Embedding(f"item-{i:05d}", row) for i, row in zip(rng.permutation(1000)[:29], rows)])
+
+
+class TestBatchedCholeskyOracle:
+    """The prefix recurrence picks the ids that one Cholesky per subset picks,
+    and reports their score bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("query", [0, 9, 28])
+    def test_benchmark_shaped_pools(self, seed, query):
+        items = benchmark_shaped_file(seed)
+        pool = items.take([i for i in range(len(items)) if i != query])
+        subset, score = brute_force_select(pool, 5)
+        assert (subset.ids(), score) == batched_cholesky_search(pool, 5)
+
+    @pytest.mark.parametrize("k", [1, 27, 28])
+    def test_edge_sizes(self, k):
+        pool = benchmark_shaped_file(2).take(range(28))
+        subset, score = brute_force_select(pool, k)
+        assert (subset.ids(), score) == batched_cholesky_search(pool, k)
+
+
+class TestCompletionScores:
+    """_completion_scores, the search's scorer, on every prefix at once."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
+    def test_every_subset_within_1e_12_of_its_own_gram(self, k):
+        rng = np.random.default_rng(30 + k)
+        vectors = unit_set(rng, 9, 4).matrix().copy()
+        vectors[5] = vectors[2]  # a duplicate row
+        prefixes = np.array(list(itertools.combinations(range(8), k - 1)), dtype=np.intp)
+        prefixes = prefixes.reshape(math.comb(8, k - 1), k - 1)
+        scores = rollout._completion_scores(unit_gram(vectors), prefixes)
+        seen = 0
+        for prefix, row in zip(prefixes.tolist(), scores):
+            for j, score in enumerate(row):
+                if prefix and j <= prefix[-1]:
+                    assert score == -np.inf
+                    continue
+                expected = logdet_regularized_gram(unit_gram(vectors[[*prefix, j]]))
+                assert abs(score - expected) <= 1e-12
+                seen += 1
+        assert seen == math.comb(9, k)
+
+    def test_non_psd_gram_raises(self):
+        gram = np.array([[1.0, 3.0, 0.0], [3.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # G + I has eigenvalue -1
+        for prefixes in ([[0]], [[0, 1]]):  # item 1's Schur complement fails as a completion, then in a prefix
+            with pytest.raises(NumericalError, match="Schur complement"):
+                rollout._completion_scores(gram, np.array(prefixes))
 
 
 class TestBruteForceSelect:
